@@ -42,6 +42,8 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
+# 96-node Gauss-Legendre rule on [-1, 1] for the panels of j_norms
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ def _t_knots(x, breakpoints, to_t, t_max):
     return sorted(knots)
 
 
-def j_norms(v: PiecewiseConstantProfile, nodes: int = 96) -> tuple[float, float]:
+def j_norms(v: PiecewiseConstantProfile) -> tuple[float, float]:
     """(L1, L2) norms of J v over [0, 1] for a step profile.
 
     J v is piecewise smooth with square-root behaviour at the right edge of
@@ -204,7 +206,6 @@ def j_norms(v: PiecewiseConstantProfile, nodes: int = 96) -> tuple[float, float]
     Gauss-Legendre is exact to machine precision.
     """
     edges = v.edges
-    gl_t, gl_w = np.polynomial.legendre.leggauss(nodes)
 
     def g_of(xs):
         # closed form of (J v)(x) for an array of x
@@ -215,8 +216,8 @@ def j_norms(v: PiecewiseConstantProfile, nodes: int = 96) -> tuple[float, float]
     l2 = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         smax = math.sqrt(b - a)
-        s = 0.5 * smax * (gl_t + 1.0)
-        w = 0.5 * smax * gl_w * 2.0 * s  # jacobian of x = b - s^2
+        s = 0.5 * smax * (_GL_NODES + 1.0)
+        w = 0.5 * smax * _GL_WEIGHTS * 2.0 * s  # jacobian of x = b - s^2
         g = g_of(b - s * s)
         l1 += float(np.sum(w * np.abs(g)))
         l2 += float(np.sum(w * g * g))

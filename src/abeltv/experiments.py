@@ -11,7 +11,7 @@
 
 Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
-identical configs.
+identical configs run with the same BLAS thread count.
 
 ``verify_bounds`` drives the analytic inequality suites and reports each
 check as a ratio that must stay <= 1.

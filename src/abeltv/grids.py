@@ -21,6 +21,7 @@ below (shortest round-trip decimal formatting).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,22 +126,37 @@ def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
     return GridRZ(n_r=n_r, n_z=2 * n_r + 1, h=h), GridXYZ(n=n_r, h=h)
 
 
+@dataclass(frozen=True)
 class _Field2D:
-    """Shared machinery for (n_r, n_z)-shaped field containers."""
+    """Shared machinery for field containers on a GridRZ.
+
+    ``values`` has shape ``_lead + (n_r, n_z)``; subclasses with a leading
+    component axis set ``_lead``. CSV rows run over that shape flattened to
+    (-1, n_z), so components follow one another.
+    """
 
     grid: GridRZ
     values: np.ndarray
 
+    _lead = ()
+
+    @classmethod
+    def _shape(cls, grid: GridRZ) -> tuple[int, ...]:
+        return cls._lead + (grid.n_r, grid.n_z)
+
     def __post_init__(self):
         vals = _freeze(self.values)
-        if vals.shape != (self.grid.n_r, self.grid.n_z):
+        if vals.shape != self._shape(self.grid):
             raise ValueError(
-                f"values shape {vals.shape} does not match grid "
-                f"({self.grid.n_r}, {self.grid.n_z})"
+                f"values shape {vals.shape} does not match {self._shape(self.grid)}"
             )
         if not np.isfinite(vals).all():
             raise ValueError("field values must all be finite")
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def zeros(cls, grid: GridRZ):
+        return cls(grid, np.zeros(cls._shape(grid)))
 
     # -- serialization ----------------------------------------------------
 
@@ -148,11 +164,11 @@ class _Field2D:
         """Write ``# grid ...`` header plus one comma-separated line per row."""
         with open(path, "w") as fh:
             fh.write(_grid_header(self.grid))
-            _write_rows(fh, self.values)
+            _write_rows(fh, self.values.reshape(-1, self.grid.n_z))
 
     @classmethod
     def from_csv(cls, path):
-        grid, rows = _read_csv(path)
+        grid, rows = _read_csv(path, cls._shape)
         return cls(grid, rows)
 
     def to_json(self) -> str:
@@ -177,78 +193,27 @@ class RadialField(_Field2D):
     not enforced here, since solver outputs may dip slightly negative.
     """
 
-    grid: GridRZ
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: GridRZ) -> "RadialField":
-        return cls(grid, np.zeros((grid.n_r, grid.n_z)))
-
 
 @dataclass(frozen=True)
 class ProjectionField(_Field2D):
     """Sampled line-of-sight data f(x_i, z_k) on a GridRZ."""
 
-    grid: GridRZ
-    values: np.ndarray
-
-    @classmethod
-    def zeros(cls, grid: GridRZ) -> "ProjectionField":
-        return cls(grid, np.zeros((grid.n_r, grid.n_z)))
-
 
 @dataclass(frozen=True)
-class DualField:
+class DualField(_Field2D):
     """Per-cell 2-vector dual variable of the primal-dual iteration.
 
     ``values`` has shape (2, n_r, n_z): component 0 is the radial-difference
-    direction, component 1 the axial-difference direction. After any
+    direction, component 1 the axial-difference direction; CSV holds the
+    component-0 rows followed by the component-1 rows. After any
     projection step the per-cell Euclidean magnitude is at most 1 (checked
     by :meth:`max_cell_magnitude`, guaranteed by the solver's projection).
     """
 
-    grid: GridRZ
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _freeze(self.values)
-        if vals.shape != (2, self.grid.n_r, self.grid.n_z):
-            raise ValueError(
-                f"values shape {vals.shape} does not match "
-                f"(2, {self.grid.n_r}, {self.grid.n_z})"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must all be finite")
-        object.__setattr__(self, "values", vals)
+    _lead = (2,)
 
     def max_cell_magnitude(self) -> float:
         return float(np.sqrt(self.values[0] ** 2 + self.values[1] ** 2).max())
-
-    @classmethod
-    def zeros(cls, grid: GridRZ) -> "DualField":
-        return cls(grid, np.zeros((2, grid.n_r, grid.n_z)))
-
-    def to_csv(self, path) -> None:
-        """Component-0 rows followed by component-1 rows (2*n_r lines)."""
-        with open(path, "w") as fh:
-            fh.write(_grid_header(self.grid))
-            _write_rows(fh, self.values[0])
-            _write_rows(fh, self.values[1])
-
-    @classmethod
-    def from_csv(cls, path) -> "DualField":
-        grid, rows = _read_csv(path, n_rows=lambda g: 2 * g.n_r)
-        return cls(grid, rows.reshape(2, grid.n_r, grid.n_z))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"grid": _grid_dict(self.grid), "values": self.values.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DualField":
-        obj = json.loads(text)
-        return cls(_grid_from_dict(obj["grid"]), np.array(obj["values"]))
 
 
 def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
@@ -269,21 +234,31 @@ def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
     -------
     ndarray of shape (2n+1, 2n+1, n+1)
     """
-    grid = u.grid
+    n = u.grid.n_r
+    inside, cell = _lattice_cells(u.grid, g3)
+    # Axial samples z_k = k*h correspond to rows n..2n of the (r, z) field.
+    upper = u.values[:, n:]
+    return np.where(inside[:, :, None], upper[cell, :], 0.0)
+
+
+def _lattice_cells(grid: GridRZ, g3: GridXYZ) -> tuple[np.ndarray, np.ndarray]:
+    """Which (x, y) lattice points of ``g3`` lie inside r < 1, and the radial
+    cell floor(r/h), clipped to n_r - 1, of each; shape (2n+1, 2n+1) each."""
     if g3.n != grid.n_r or g3.h != grid.h:
         raise ValueError(
             f"grid mismatch: GridXYZ(n={g3.n}, h={g3.h}) vs "
             f"GridRZ(n_r={grid.n_r}, h={grid.h})"
         )
-    n = grid.n_r
     xy = g3.xy
     rr = np.sqrt(xy[:, None] ** 2 + xy[None, :] ** 2)
-    inside = rr < 1.0
-    cell = np.minimum((rr / grid.h).astype(np.int64), n - 1)
-    # Axial samples z_k = k*h correspond to rows n..2n of the (r, z) field.
-    upper = u.values[:, n:]
-    out = np.where(inside[:, :, None], upper[cell, :], 0.0)
-    return out
+    return rr < 1.0, np.minimum((rr / grid.h).astype(np.int64), grid.n_r - 1)
+
+
+def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
+    """Number of (x, y) lattice points of ``g3`` that ``revolve`` reads from
+    each radial cell (length n_r)."""
+    inside, cell = _lattice_cells(grid, g3)
+    return np.bincount(cell[inside], minlength=grid.n_r)
 
 
 # -- CSV / JSON helpers ----------------------------------------------------
@@ -309,7 +284,8 @@ def _write_rows(fh, mat: np.ndarray) -> None:
         fh.write("\n")
 
 
-def _read_csv(path, n_rows=None):
+def _read_csv(path, shape):
+    """Grid and values of a field CSV; ``shape(grid)`` is the values' shape."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# grid "):
@@ -319,7 +295,8 @@ def _read_csv(path, n_rows=None):
         rows = np.array(
             [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
         )
-    expected = n_rows(grid) if n_rows is not None else grid.n_r
+    want = shape(grid)
+    expected = math.prod(want[:-1])
     if rows.shape != (expected, grid.n_z):
         raise ValueError(f"{path}: expected {expected}x{grid.n_z} values, got {rows.shape}")
-    return grid, rows
+    return grid, rows.reshape(want)

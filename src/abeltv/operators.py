@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField
+from .grids import GridRZ, ProjectionField, RadialField, _write_rows
 
 __all__ = [
     "AbelMatrix",
@@ -56,9 +56,7 @@ class AbelMatrix:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"# abel n={self.n} h={float(self.h)!r}\n")
-            for row in self.entries:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+            _write_rows(fh, self.entries)
 
 
 def build_abel_matrix(g: GridRZ) -> AbelMatrix:

@@ -21,7 +21,8 @@ One iteration of the saddle-point scheme, from (u, v, w):
 
 The symmetric positive-definite primal system is factored once (Cholesky)
 and reused across all axial columns and iterations. No randomness anywhere:
-identical inputs give bit-identical iterates.
+for the same BLAS thread count, identical inputs give bit-identical
+iterates (the BLAS kernels' summation order depends on that count).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .grids import DualField, ProjectionField, RadialField
-from .operators import AbelMatrix, divergence, gradient
+from .metrics import tv_seminorm
+from .operators import AbelMatrix, apply_abel_transpose, divergence, gradient
 
 __all__ = [
     "SolverParams",
@@ -96,18 +98,15 @@ def project_unit_ball(p: np.ndarray) -> np.ndarray:
     return p / np.maximum(1.0, mag)[None, :, :]
 
 
-def _tv_term(values: np.ndarray, h: float) -> float:
-    g = gradient(values, h=1.0)
-    return h * h * float(np.sqrt(g[0] ** 2 + g[1] ** 2).sum())
-
-
 def energy(u: RadialField, A: AbelMatrix, f: ProjectionField, lam: float) -> float:
-    """Objective value E(u) = h^2 sum|Du| + (lam/2) ||Au - f||_{l2(V_h)}^2."""
+    """Objective value E(u) = h^2 sum|Du| + (lam/2) ||Au - f||_{l2(V_h)}^2.
+
+    The TV term is h * tv_seminorm(u)."""
     if A.n != u.grid.n_r or u.grid.n_z != f.grid.n_z or u.grid.n_r != f.grid.n_r:
         raise ValueError("inconsistent shapes between matrix, field and data")
     h = u.grid.h
     resid = A.entries @ u.values - f.values
-    return _tv_term(u.values, h) + 0.5 * lam * h * h * float((resid * resid).sum())
+    return h * tv_seminorm(u) + 0.5 * lam * h * h * float((resid * resid).sum())
 
 
 class _PrimalSystem:
@@ -163,7 +162,7 @@ def solve_tv(
 
     tau, gamma, lam = params.tau, params.gamma, params.lam
     system = _PrimalSystem(A, tau, lam)
-    rhs_data = tau * lam * (A.entries.T @ f.values)
+    rhs_data = tau * lam * apply_abel_transpose(A, f)
 
     v = np.zeros((2, grid.n_r, grid.n_z))
     w = u.copy()

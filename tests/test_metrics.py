@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,14 +141,18 @@ class TestBoundReport:
         # experiment runs
         assert report.m == pytest.approx(1.0, abs=1e-3)
 
-    def test_quantity_definitions(self):
-        grid, g3 = make_grids(8)
+    @pytest.mark.parametrize("n_r", [5, 8, 12, 30])
+    def test_quantity_definitions(self, n_r):
+        # the revolved error norm is checked against revolve itself, at
+        # power-of-two and other grid sizes
+        grid, g3 = make_grids(n_r)
+        shape = (n_r, 2 * n_r + 1)
         rng = np.random.default_rng(4)
-        u_star = RadialField(grid, rng.uniform(0, 1, (8, 17)))
-        u0 = RadialField(grid, rng.uniform(0, 1, (8, 17)))
-        f_star = ProjectionField(grid, rng.normal(size=(8, 17)))
-        f = ProjectionField(grid, rng.normal(size=(8, 17)))
-        f0 = ProjectionField(grid, rng.normal(size=(8, 17)))
+        u_star = RadialField(grid, rng.uniform(0, 1, shape))
+        u0 = RadialField(grid, rng.uniform(0, 1, shape))
+        f_star = ProjectionField(grid, rng.normal(size=shape))
+        f = ProjectionField(grid, rng.normal(size=shape))
+        f0 = ProjectionField(grid, rng.normal(size=shape))
         rep = bound_report(u_star, u0, f_star, f, f0, g3)
         h = grid.h
         assert rep.c == max(tv_seminorm(u_star), tv_seminorm(u0))
@@ -160,6 +166,22 @@ class TestBoundReport:
         assert rep.c_star == pytest.approx(
             rep.err_l2_uh / (rep.m1 * (4 * rep.c * rep.m) ** (1 / 3)), rel=1e-14
         )
+
+    def test_no_revolved_grid_allocated(self):
+        # The revolved grid at n_r = 256 holds 513 * 513 * 257 values
+        # (516 MB); the lattice-count norm needs O(n_r^2) memory.
+        grid, g3 = make_grids(256)
+        shape = (256, 513)
+        rng = np.random.default_rng(8)
+        u_star, u0 = (RadialField(grid, rng.uniform(0, 1, shape)) for _ in range(2))
+        f_star, f, f0 = (ProjectionField(grid, rng.normal(size=shape)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            bound_report(u_star, u0, f_star, f, f0, g3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_csv_row_order(self):
         grid, g3 = make_grids(8)
