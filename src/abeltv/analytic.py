@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "PiecewiseConstantProfile",
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=200)
 # 96-node Gauss-Legendre rule on [-1, 1] for the panels of j_norms
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
@@ -158,16 +156,13 @@ def j_transform(v, x: float, breakpoints: Sequence[float] | None = None) -> floa
     """
     x = _require_unit_interval(x)
     if isinstance(v, PiecewiseConstantProfile):
-        lo = np.sqrt(np.maximum(v.edges[:-1] - x, 0.0))
-        hi = np.sqrt(np.maximum(v.edges[1:] - x, 0.0))
-        return float(2.0 * np.sum(v.values * (hi - lo)) / _SQRT_PI)
+        return float(_j_steps(v.edges, v.values, np.array([x]))[0])
     if x == 1.0:
         return 0.0
     knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b - x), math.sqrt(1.0 - x))
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        val, _ = quad(lambda t: v(x + t * t), lo, hi, **_QUAD_OPTS)
-        total += val
+        total += _quad(lambda t: v(x + t * t), lo, hi)
     return 2.0 * total / _SQRT_PI
 
 
@@ -183,9 +178,23 @@ def abel_transform(u, x: float, breakpoints: Sequence[float] | None = None) -> f
     knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b * b - x * x), math.sqrt(1.0 - x * x))
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        val, _ = quad(lambda t: u(math.sqrt(x * x + t * t)), lo, hi, **_QUAD_OPTS)
-        total += val
+        total += _quad(lambda t: u(math.sqrt(x * x + t * t)), lo, hi)
     return 2.0 * total
+
+
+def _quad(fn, lo: float, hi: float) -> float:
+    """Adaptive quadrature of fn over [lo, hi]. scipy.integrate is imported
+    here, on first use, so that importing the package does not load it."""
+    from scipy.integrate import quad
+
+    return quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+
+
+def _j_steps(edges: np.ndarray, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Closed form of (J v)(x) at each x of the 1-D ``xs`` for the step
+    profile v with piece ``edges`` and ``values``."""
+    diff = np.sqrt(np.maximum(edges[None, :] - xs[:, None], 0.0))
+    return 2.0 * (diff[:, 1:] - diff[:, :-1]) @ values / _SQRT_PI
 
 
 def _t_knots(x, breakpoints, to_t, t_max):
@@ -206,19 +215,13 @@ def j_norms(v: PiecewiseConstantProfile) -> tuple[float, float]:
     Gauss-Legendre is exact to machine precision.
     """
     edges = v.edges
-
-    def g_of(xs):
-        # closed form of (J v)(x) for an array of x
-        diff = np.sqrt(np.maximum(edges[None, :] - xs[:, None], 0.0))
-        return 2.0 * (diff[:, 1:] - diff[:, :-1]) @ v.values / _SQRT_PI
-
     l1 = 0.0
     l2 = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         smax = math.sqrt(b - a)
         s = 0.5 * smax * (_GL_NODES + 1.0)
         w = 0.5 * smax * _GL_WEIGHTS * 2.0 * s  # jacobian of x = b - s^2
-        g = g_of(b - s * s)
+        g = _j_steps(edges, v.values, b - s * s)
         l1 += float(np.sum(w * np.abs(g)))
         l2 += float(np.sum(w * g * g))
     return l1, math.sqrt(l2)
@@ -306,8 +309,7 @@ def running_average(v: Callable[[float], float], h: float, x: float) -> float:
         raise ValueError(f"h must lie in (0, 1/2], got {h}")
     if not h <= x <= 1.0:
         raise ValueError(f"x must lie in [h, 1], got {x}")
-    val, _ = quad(v, x - h, x, **_QUAD_OPTS)
-    return val / h
+    return _quad(v, x - h, x) / h
 
 
 def random_step_profiles(

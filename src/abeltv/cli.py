@@ -5,7 +5,7 @@
     abeltv phantom --name nested-annuli --out u0.csv [--n 128]
 
 Exit code 0 iff every run succeeds / every bound check passes. Output is
-CSV/JSON only; plotting belongs to downstream tools.
+CSV only; plotting belongs to downstream tools.
 """
 
 from __future__ import annotations

@@ -6,8 +6,12 @@
 * ``results.csv`` with header
   ``sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status``
   (one row per run, failed runs carry status ``failed``, never omitted);
-* per-run energy traces ``run<ii>_energy.csv``;
+* per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``.
+
+This module is the only one that knows that layout. Each ``RunSpec`` checks
+its solver and noise parameters when the config is parsed, so an
+inadmissible run stops the experiment before anything is computed.
 
 Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
@@ -31,7 +35,7 @@ from .grids import make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, PhantomSpec, add_noise, builtin_phantom, rasterize_phantom
-from .solver import SolverDivergedError, SolverParams, energy_trace_to_csv, solve_tv
+from .solver import SolveResult, SolverDivergedError, SolverParams, solve_tv
 
 __all__ = [
     "RunSpec",
@@ -45,6 +49,8 @@ __all__ = [
 ]
 
 RESULTS_HEADER = "sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status"
+# BoundReport fields in results.csv column order, after sigma2_frac
+_REPORT_COLUMNS = ("err_l2_uh", "resid_l2_vh", "m1", "c", "m", "c_star")
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,11 @@ class RunSpec:
     max_iter: int
     seed: int
     record_every: int = 100
+
+    def __post_init__(self):
+        # reject inadmissible values when the config is parsed, not mid-experiment
+        self.solver_params()
+        NoiseSpec(variance_fraction=self.variance_fraction, seed=self.seed)
 
     def solver_params(self) -> SolverParams:
         return SolverParams(
@@ -93,7 +104,7 @@ class ExperimentConfig:
         if isinstance(phantom, str):
             name, spec = phantom, builtin_phantom(phantom)
         else:
-            name, spec = "custom", PhantomSpec.from_json(json.dumps(phantom))
+            name, spec = "custom", PhantomSpec.from_dict(phantom)
         runs = tuple(
             RunSpec(
                 variance_fraction=float(r["variance_fraction"]),
@@ -143,7 +154,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     f0 = apply_abel(A, u0)
 
     outcomes: list[RunOutcome] = []
-    rows: list[str] = [RESULTS_HEADER]
     for i, run in enumerate(cfg.runs):
         f = add_noise(f0, NoiseSpec(variance_fraction=run.variance_fraction, seed=run.seed))
         try:
@@ -151,9 +161,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
         except SolverDivergedError:
             outcomes.append(
                 RunOutcome(index=i, status="failed", report=None, energy_final=math.nan, iterations=0)
-            )
-            rows.append(
-                ",".join([repr(float(run.variance_fraction))] + ["nan"] * 7 + ["0", "failed"])
             )
             continue
         f_star = apply_abel(A, result.u_star)
@@ -167,18 +174,28 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
                 iterations=result.iterations_run,
             )
         )
-        rows.append(
-            report.csv_row(run.variance_fraction)
-            + f",{float(result.final_energy)!r},{result.iterations_run},ok"
-        )
-        energy_trace_to_csv(result, out_dir / f"run{i:02d}_energy.csv")
+        _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
         u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
         result.u_star.to_csv(out_dir / f"run{i:02d}_ustar.csv")
         f.to_csv(out_dir / f"run{i:02d}_f.csv")
         f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
 
-    (out_dir / "results.csv").write_text("\n".join(rows) + "\n")
+    rows = [_results_row(run.variance_fraction, out) for run, out in zip(cfg.runs, outcomes)]
+    (out_dir / "results.csv").write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
     return outcomes
+
+
+def _results_row(variance_fraction: float, out: RunOutcome) -> str:
+    """One results.csv row; a failed run has no report, so its report
+    columns read nan."""
+    quantities = [getattr(out.report, name, math.nan) for name in _REPORT_COLUMNS]
+    floats = [variance_fraction, *quantities, out.energy_final]
+    return ",".join([*(repr(float(v)) for v in floats), str(out.iterations), out.status])
+
+
+def _write_energy_trace(result: SolveResult, path: Path) -> None:
+    lines = ["iteration,energy", *(f"{it},{float(e)!r}" for it, e in result.energy_trace)]
+    path.write_text("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,12 @@ All computations live on the unit cylinder. Two grids appear:
   the same spacing ``h``.
 
 Field containers are immutable after construction and safe to share across
-threads. They round-trip bit-exactly through the CSV and JSON serializers
-below (shortest round-trip decimal formatting).
+threads. They round-trip bit-exactly through the CSV serializer below
+(shortest round-trip decimal formatting); CSV is the only field format.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -159,27 +158,34 @@ class _Field2D:
         return cls(grid, np.zeros(cls._shape(grid)))
 
     # -- serialization ----------------------------------------------------
+    # repr(float) is Python's shortest round-trip decimal form; float() parses
+    # it back to the identical bits, which is what the bit-exact contract needs.
 
     def to_csv(self, path) -> None:
         """Write ``# grid ...`` header plus one comma-separated line per row."""
+        g = self.grid
         with open(path, "w") as fh:
-            fh.write(_grid_header(self.grid))
-            _write_rows(fh, self.values.reshape(-1, self.grid.n_z))
+            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={float(g.h)!r}\n")
+            for row in self.values.reshape(-1, g.n_z):
+                fh.write(",".join(repr(float(v)) for v in row))
+                fh.write("\n")
 
     @classmethod
     def from_csv(cls, path):
-        grid, rows = _read_csv(path, cls._shape)
-        return cls(grid, rows)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"grid": _grid_dict(self.grid), "values": self.values.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        obj = json.loads(text)
-        return cls(_grid_from_dict(obj["grid"]), np.array(obj["values"]))
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("# grid "):
+                raise ValueError(f"{path}: missing '# grid' header")
+            fields = dict(tok.split("=") for tok in header[len("# grid ") :].split())
+            grid = GridRZ(n_r=int(fields["n_r"]), n_z=int(fields["n_z"]), h=float(fields["h"]))
+            rows = np.array(
+                [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
+            )
+        want = cls._shape(grid)
+        expected = math.prod(want[:-1])
+        if rows.shape != (expected, grid.n_z):
+            raise ValueError(f"{path}: expected {expected}x{grid.n_z} values, got {rows.shape}")
+        return cls(grid, rows.reshape(want))
 
 
 @dataclass(frozen=True)
@@ -243,15 +249,18 @@ def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
 
 def _lattice_cells(grid: GridRZ, g3: GridXYZ) -> tuple[np.ndarray, np.ndarray]:
     """Which (x, y) lattice points of ``g3`` lie inside r < 1, and the radial
-    cell floor(r/h), clipped to n_r - 1, of each; shape (2n+1, 2n+1) each."""
+    cell floor(r/h), clipped to n_r - 1, of each; shape (2n+1, 2n+1) each.
+    Computed on s = a^2 + b^2 = (r/h)^2 for lattice indices (a, b), which is
+    exact: inside is s < n^2 and floor(sqrt(s)) is exact for s < 2^52."""
     if g3.n != grid.n_r or g3.h != grid.h:
         raise ValueError(
             f"grid mismatch: GridXYZ(n={g3.n}, h={g3.h}) vs "
             f"GridRZ(n_r={grid.n_r}, h={grid.h})"
         )
-    xy = g3.xy
-    rr = np.sqrt(xy[:, None] ** 2 + xy[None, :] ** 2)
-    return rr < 1.0, np.minimum((rr / grid.h).astype(np.int64), grid.n_r - 1)
+    n = grid.n_r
+    a = np.arange(-n, n + 1, dtype=np.int64)
+    s = a[:, None] ** 2 + a[None, :] ** 2
+    return s < n * n, np.minimum(np.sqrt(s).astype(np.int64), n - 1)
 
 
 def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
@@ -259,44 +268,3 @@ def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
     each radial cell (length n_r)."""
     inside, cell = _lattice_cells(grid, g3)
     return np.bincount(cell[inside], minlength=grid.n_r)
-
-
-# -- CSV / JSON helpers ----------------------------------------------------
-# repr(float) is Python's shortest round-trip decimal form; float() parses it
-# back to the identical bits, which is what the bit-exact contract needs.
-
-
-def _grid_header(grid: GridRZ) -> str:
-    return f"# grid n_r={grid.n_r} n_z={grid.n_z} h={float(grid.h)!r}\n"
-
-
-def _grid_dict(grid: GridRZ) -> dict:
-    return {"n_r": grid.n_r, "n_z": grid.n_z, "h": grid.h}
-
-
-def _grid_from_dict(d: dict) -> GridRZ:
-    return GridRZ(n_r=int(d["n_r"]), n_z=int(d["n_z"]), h=float(d["h"]))
-
-
-def _write_rows(fh, mat: np.ndarray) -> None:
-    for row in mat:
-        fh.write(",".join(repr(float(v)) for v in row))
-        fh.write("\n")
-
-
-def _read_csv(path, shape):
-    """Grid and values of a field CSV; ``shape(grid)`` is the values' shape."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("# grid "):
-            raise ValueError(f"{path}: missing '# grid' header")
-        fields = dict(tok.split("=") for tok in header[len("# grid ") :].split())
-        grid = GridRZ(n_r=int(fields["n_r"]), n_z=int(fields["n_z"]), h=float(fields["h"]))
-        rows = np.array(
-            [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-        )
-    want = shape(grid)
-    expected = math.prod(want[:-1])
-    if rows.shape != (expected, grid.n_z):
-        raise ValueError(f"{path}: expected {expected}x{grid.n_z} values, got {rows.shape}")
-    return grid, rows.reshape(want)

@@ -102,12 +102,6 @@ class BoundReport:
     err_l2_uh: float
     resid_l2_vh: float
 
-    def csv_row(self, sigma2_frac: float) -> str:
-        """One CSV row in column order: sigma^2 fraction, error, residual,
-        M1, c, M, C*."""
-        cols = (sigma2_frac, self.err_l2_uh, self.resid_l2_vh, self.m1, self.c, self.m, self.c_star)
-        return ",".join(repr(float(v)) for v in cols)
-
 
 def bound_report(
     u_star: RadialField,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField, _write_rows
+from .grids import GridRZ, ProjectionField, RadialField
 
 __all__ = [
     "AbelMatrix",
@@ -35,8 +35,7 @@ class AbelMatrix:
 
     Row i holds the chord-length weights of the radial cells crossed by the
     line of sight at x_i = (i-1)h; row sums telescope to the full chord
-    length 2*sqrt(1 - x_i^2). Stored dense: at the problem sizes in play a
-    triangular factor-and-solve beats anything asymptotically clever.
+    length 2*sqrt(1 - x_i^2). Stored dense.
     """
 
     n: int
@@ -52,11 +51,6 @@ class AbelMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# abel n={self.n} h={float(self.h)!r}\n")
-            _write_rows(fh, self.entries)
 
 
 def build_abel_matrix(g: GridRZ) -> AbelMatrix:

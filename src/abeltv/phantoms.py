@@ -19,7 +19,7 @@ fields vanish on the outermost radial cell and the axial boundary rows.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,23 +76,13 @@ class PhantomSpec:
         object.__setattr__(self, "shapes", tuple(self.shapes))
 
     @classmethod
-    def from_json(cls, text: str) -> "PhantomSpec":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "PhantomSpec":
+        """Parse the ``{"shapes": [...]}`` schema of the module docstring."""
         return cls(
             shapes=tuple(
                 Shape(kind=s["kind"], r=tuple(s["r"]), z=tuple(s["z"]), level=s["level"])
                 for s in obj["shapes"]
             )
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shapes": [
-                    {"kind": s.kind, "r": list(s.r), "z": list(s.z), "level": s.level}
-                    for s in self.shapes
-                ]
-            }
         )
 
 
@@ -104,8 +94,9 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.variance_fraction < 0:
-            raise ValueError("variance_fraction must be >= 0")
+        vf = self.variance_fraction
+        if not (math.isfinite(vf) and vf >= 0):
+            raise ValueError(f"variance_fraction must be finite and >= 0, got {vf}")
 
 
 def rasterize_phantom(spec: PhantomSpec, g: GridRZ) -> RadialField:

@@ -27,6 +27,7 @@ iterates (the BLAS kernels' summation order depends on that count).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -45,7 +46,6 @@ __all__ = [
     "solve_tv",
     "solve_onion_peeling",
     "project_unit_ball",
-    "energy_trace_to_csv",
 ]
 
 
@@ -64,9 +64,8 @@ class SolverParams:
     lam is the data-fit weight, tau the primal step, gamma the dual step.
     The run length is fixed at max_iter (no early-exit tolerance), which
     keeps runs exactly reproducible; energy is logged every record_every
-    iterations. Step-size admissibility is the caller's responsibility:
-    pairs violating tau*gamma*||D||^2 < 1 may diverge, which surfaces as
-    SolverDivergedError rather than being silently repaired.
+    iterations. The steps must satisfy tau*gamma*||D||^2 < 1; ||D||^2 <= 8
+    for per-cell differences, so 8*tau*gamma >= 1 is rejected here.
     """
 
     lam: float
@@ -76,8 +75,12 @@ class SolverParams:
     record_every: int = 100
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.tau > 0 and self.gamma > 0):
-            raise ValueError("lam, tau, gamma must be positive")
+        for name in ("lam", "tau", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if 8.0 * self.tau * self.gamma >= 1.0:
+            raise ValueError(f"8*tau*gamma must be < 1, got tau={self.tau}, gamma={self.gamma}")
         if self.max_iter < 1 or self.record_every < 1:
             raise ValueError("max_iter and record_every must be >= 1")
 
@@ -202,10 +205,3 @@ def solve_onion_peeling(A: AbelMatrix, f: ProjectionField) -> RadialField:
         raise ValueError(f"matrix size {A.n} != data n_r {f.grid.n_r}")
     u = solve_triangular(A.entries, f.values, lower=False)
     return RadialField(f.grid, u)
-
-
-def energy_trace_to_csv(result: SolveResult, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("iteration,energy\n")
-        for it, e in result.energy_trace:
-            fh.write(f"{it},{float(e)!r}\n")

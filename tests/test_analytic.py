@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import abeltv
 from abeltv import (
     PiecewiseConstantProfile,
     abel_transform,
@@ -23,6 +28,16 @@ SQRT_PI = math.sqrt(math.pi)
 
 def profile(breakpoints, values):
     return PiecewiseConstantProfile(np.asarray(breakpoints, float), np.asarray(values, float))
+
+
+def test_import_does_not_load_scipy_integrate():
+    # only the quadrature paths need scipy.integrate; they import it on use
+    env = dict(os.environ)
+    src = str(Path(abeltv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = "import sys, abeltv, abeltv.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestProfile:

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -33,7 +35,7 @@ class TestConfig:
         assert cfg.runs[0].lam == 80.0 and cfg.runs[1].seed == 4
 
     def test_from_dict_inline_phantom(self, tmp_path):
-        inline = json.loads(builtin_phantom("four-blobs").to_json())
+        inline = json.loads(json.dumps(dataclasses.asdict(builtin_phantom("four-blobs"))))
         cfg = ExperimentConfig.from_dict(small_config(tmp_path, phantom=inline))
         assert cfg.phantom == builtin_phantom("four-blobs")
         assert cfg.phantom_name == "custom"
@@ -41,6 +43,22 @@ class TestConfig:
     def test_empty_runs_rejected_before_compute(self, tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(small_config(tmp_path, runs=[]))
+
+    @pytest.mark.parametrize(
+        "key, bad, field",
+        [
+            ("tau", 1.0, "tau"),
+            ("gamma", math.inf, "gamma"),
+            ("lambda", math.nan, "lam"),
+            ("variance_fraction", math.nan, "variance_fraction"),
+        ],
+    )
+    def test_inadmissible_run_rejected_before_compute(self, tmp_path, key, bad, field):
+        obj = small_config(tmp_path)
+        obj["runs"][1][key] = bad
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(obj)
+        assert not (tmp_path / "out").exists()
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -68,6 +86,37 @@ class TestRunExperiment:
                 assert (cfg.output_dir / f"run{i:02d}_{stem}.csv").exists()
         back = RadialField.from_csv(cfg.output_dir / "run00_ustar.csv")
         assert back.grid.n_r == 16
+
+    def test_csv_row_order(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        outcomes = run_experiment(cfg)
+        rows = (cfg.output_dir / "results.csv").read_text().splitlines()[1:]
+        for row, run, out in zip(rows, cfg.runs, outcomes):
+            cols = row.split(",")
+            rep = out.report
+            assert [float(c) for c in cols[:8]] == [
+                run.variance_fraction,
+                rep.err_l2_uh,
+                rep.resid_l2_vh,
+                rep.m1,
+                rep.c,
+                rep.m,
+                rep.c_star,
+                out.energy_final,
+            ]
+            assert cols[8:] == [str(out.iterations), "ok"]
+
+    def test_energy_trace_csv(self, tmp_path):
+        runs = [
+            {"variance_fraction": 0.0005, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 110,
+             "seed": 3, "record_every": 25}
+        ]
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path, runs=runs))
+        (outcome,) = run_experiment(cfg)
+        lines = (cfg.output_dir / "run00_energy.csv").read_text().splitlines()
+        assert lines[0] == "iteration,energy"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [25, 50, 75, 100, 110]
+        assert float(lines[-1].split(",")[1]) == outcome.energy_final
 
     def test_bit_identical_results_for_identical_config(self, tmp_path):
         cfg1 = ExperimentConfig.from_dict({**small_config(tmp_path), "output_dir": str(tmp_path / "a")})
@@ -104,7 +153,7 @@ class TestRunExperiment:
         assert outcomes[0].report is None
         results = (cfg.output_dir / "results.csv").read_text().splitlines()
         assert len(results) == 3
-        assert results[1].endswith("failed")
+        assert results[1] == "0.0005,nan,nan,nan,nan,nan,nan,nan,0,failed"
         assert results[2].endswith("ok")
 
 

@@ -182,23 +182,3 @@ class TestBoundReport:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-
-    def test_csv_row_order(self):
-        grid, g3 = make_grids(8)
-        rng = np.random.default_rng(6)
-        u_star = RadialField(grid, rng.uniform(0, 1, (8, 17)))
-        u0 = RadialField(grid, rng.uniform(0, 1, (8, 17)))
-        f_star = ProjectionField(grid, rng.normal(size=(8, 17)))
-        f = ProjectionField(grid, rng.normal(size=(8, 17)))
-        f0 = ProjectionField(grid, rng.normal(size=(8, 17)))
-        rep = bound_report(u_star, u0, f_star, f, f0, g3)
-        cols = rep.csv_row(0.0005).split(",")
-        assert [float(c) for c in cols] == [
-            0.0005,
-            rep.err_l2_uh,
-            rep.resid_l2_vh,
-            rep.m1,
-            rep.c,
-            rep.m,
-            rep.c_star,
-        ]

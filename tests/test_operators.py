@@ -52,15 +52,6 @@ class TestAbelMatrix:
         iu = np.triu_indices(16)
         assert (A.entries[iu] > 0).all()
 
-    def test_csv_dump(self, tmp_path):
-        A = build_abel_matrix(make_grids(3)[0])
-        path = tmp_path / "abel.csv"
-        A.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 4
-        back = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
-        assert_array_equal(back, A.entries)
-
 
 class TestApplyAbel:
     def test_unit_disc_projection(self):

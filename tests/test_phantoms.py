@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -25,14 +29,17 @@ class TestShapes:
             Shape("rect", (0.0, 0.5), (0.0, 0.5), 1.5)
 
     def test_json_roundtrip(self):
+        # a spec written as the config's JSON schema parses back to itself
         spec = builtin_phantom("four-blobs")
-        back = PhantomSpec.from_json(spec.to_json())
+        back = PhantomSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(spec))))
         assert back == spec
 
     def test_json_schema_fields(self):
-        import json
-
-        obj = json.loads(builtin_phantom("nested-annuli").to_json())
+        obj = {"shapes": [{"kind": "rect", "r": [0.0, 0.5], "z": [-0.25, 0.25], "level": 0.75}]}
+        assert PhantomSpec.from_dict(obj) == PhantomSpec(
+            shapes=(Shape("rect", (0.0, 0.5), (-0.25, 0.25), 0.75),)
+        )
+        obj = dataclasses.asdict(builtin_phantom("nested-annuli"))
         assert set(obj) == {"shapes"}
         assert set(obj["shapes"][0]) == {"kind", "r", "z", "level"}
 
@@ -149,3 +156,8 @@ class TestNoise:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec(variance_fraction=-0.1, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="variance_fraction"):
+            NoiseSpec(variance_fraction=bad, seed=0)

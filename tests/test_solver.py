@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -19,7 +21,7 @@ from abeltv import (
     solve_onion_peeling,
     solve_tv,
 )
-from abeltv.solver import _PrimalSystem, energy_trace_to_csv, project_unit_ball
+from abeltv.solver import _PrimalSystem, project_unit_ball
 
 
 def noisy_instance(n_r, variance_fraction=0.0005, seed=7):
@@ -170,6 +172,20 @@ class TestSolveTV:
         with pytest.raises(ValueError):
             SolverParams(lam=1.0, tau=-0.2, gamma=0.2, max_iter=10)
 
+    @pytest.mark.parametrize("field", ["lam", "tau", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_params_rejected(self, field, bad):
+        kwargs = dict(lam=80.0, tau=0.2, gamma=0.2, max_iter=10)
+        with pytest.raises(ValueError, match=field):
+            SolverParams(**{**kwargs, field: bad})
+
+    def test_inadmissible_steps_rejected(self):
+        # ||D||^2 <= 8 for per-cell differences: 8*tau*gamma must stay below 1
+        SolverParams(lam=80.0, tau=0.35, gamma=0.35, max_iter=10)  # 0.98
+        for tau, gamma in [(1.0, 1.0), (0.5, 0.25), (0.2, 0.625)]:
+            with pytest.raises(ValueError, match=r"8\*tau\*gamma"):
+                SolverParams(lam=80.0, tau=tau, gamma=gamma, max_iter=10)
+
     def test_primal_system_residual(self):
         A = build_abel_matrix(make_grids(32)[0])
         system = _PrimalSystem(A, tau=0.2, lam=80.0)
@@ -178,17 +194,6 @@ class TestSolveTV:
         x = system.solve(b)
         resid = np.linalg.norm(system.matrix @ x - b) / np.linalg.norm(b)
         assert resid <= 1e-10
-
-    def test_energy_trace_csv(self, tmp_path):
-        grid, A, u0, f0, f = noisy_instance(16)
-        result = solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=100, record_every=25))
-        path = tmp_path / "trace.csv"
-        energy_trace_to_csv(result, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,energy"
-        assert len(lines) == 1 + len(result.energy_trace)
-        it, e = lines[1].split(",")
-        assert int(it) == 25 and float(e) == result.energy_trace[0][1]
 
 
 class TestOnionPeeling:
