@@ -19,7 +19,7 @@ Everything here is a pure function; safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,6 +57,8 @@ class PiecewiseConstantProfile:
 
     breakpoints: np.ndarray
     values: np.ndarray
+    # piece edges including the terminal 1.0 (length pieces + 1)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = np.array(self.breakpoints, dtype=float)
@@ -69,15 +71,12 @@ class PiecewiseConstantProfile:
             raise ValueError("breakpoints must increase strictly and stay below 1")
         if not np.isfinite(vals).all():
             raise ValueError("values must be finite")
-        bps.setflags(write=False)
-        vals.setflags(write=False)
+        edges = np.append(bps, 1.0)
+        for arr in (bps, vals, edges):
+            arr.setflags(write=False)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Piece edges including the terminal 1.0 (length pieces + 1)."""
-        return np.append(self.breakpoints, 1.0)
+        object.__setattr__(self, "edges", edges)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)

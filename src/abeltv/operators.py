@@ -8,7 +8,10 @@ fields and the matrix upper triangular with positive diagonal.
 zero-row/zero-column boundary convention that makes them exact negative
 adjoints of each other: <grad u, p> = -<u, div p> for every u, p.
 
-All operations are pure functions of immutable inputs.
+The public operations are pure functions of immutable inputs. The stencils
+of ``gradient`` and ``divergence`` are written once, in private bodies that
+fill a caller's buffer; the public functions allocate and call them, and
+the solver calls them directly on buffers it allocates once per solve.
 """
 
 from __future__ import annotations
@@ -112,10 +115,19 @@ def gradient(u, h: float | None = None) -> np.ndarray:
     ndarray of shape (2, n_r, n_z)
     """
     vals, h = _values_and_h(u, h)
-    g = np.zeros((2,) + vals.shape)
-    g[0, :-1, :] = (vals[1:, :] - vals[:-1, :]) / h
-    g[1, :, :-1] = (vals[:, 1:] - vals[:, :-1]) / h
+    g = np.empty((2,) + vals.shape)
+    _gradient_into(vals, g)
+    g /= h
     return g
+
+
+def _gradient_into(u: np.ndarray, out: np.ndarray) -> None:
+    """Plain per-cell forward differences of ``u`` written into ``out``,
+    shape (2,) + u.shape, with the zero last row/column of ``gradient``."""
+    np.subtract(u[1:, :], u[:-1, :], out=out[0, :-1, :])
+    out[0, -1, :] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=out[1, :, :-1])
+    out[1, :, -1] = 0.0
 
 
 def divergence(p, h: float | None = None) -> np.ndarray:
@@ -131,12 +143,24 @@ def divergence(p, h: float | None = None) -> np.ndarray:
         raise ValueError(f"expected shape (2, n_r, n_z), got {p.shape}")
     if h is None:
         raise ValueError("h is required")
+    d = np.empty(p.shape[1:])
+    _divergence_into(p, d, np.empty(p.shape[1:]))
+    d /= float(h)
+    return d
+
+
+def _divergence_into(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Plain per-cell divergence of the stacked pair ``p`` written into
+    ``out``; ``scratch`` has the shape of ``out`` and is overwritten."""
     p1, p2 = p[0], p[1]
-    d = np.zeros(p1.shape)
-    d[0, :] += p1[0, :]
-    d[1:-1, :] += p1[1:-1, :] - p1[:-2, :]
-    d[-1, :] -= p1[-2, :]
-    d[:, 0] += p2[:, 0]
-    d[:, 1:-1] += p2[:, 1:-1] - p2[:, :-2]
-    d[:, -1] -= p2[:, -2]
-    return d / float(h)
+    # accumulate onto zeros in this order: it fixes every bit of the
+    # result, signed zeros included
+    out.fill(0.0)
+    out[0, :] += p1[0, :]
+    np.subtract(p1[1:-1, :], p1[:-2, :], out=scratch[1:-1, :])
+    out[1:-1, :] += scratch[1:-1, :]
+    out[-1, :] -= p1[-2, :]
+    out[:, 0] += p2[:, 0]
+    np.subtract(p2[:, 1:-1], p2[:, :-2], out=scratch[:, 1:-1])
+    out[:, 1:-1] += scratch[:, 1:-1]
+    out[:, -1] -= p2[:, -2]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 import abeltv
@@ -59,6 +59,13 @@ class TestProfile:
         assert v(0.9) == 0.0
         assert v(1.0) == 0.0  # zero extension beyond [0, 1)
         assert_allclose(v(np.array([0.1, 0.5])), [2.0, -1.0])
+
+    def test_edges_stored_once_read_only(self):
+        v = profile([0.0, 0.25, 0.5], [1.0, 3.0, 0.0])
+        assert_array_equal(v.edges, [0.0, 0.25, 0.5, 1.0])
+        assert v.edges is v.edges
+        assert not v.edges.flags.writeable
+        assert "edges" not in repr(v)
 
     def test_norms_and_tv(self):
         v = profile([0.0, 0.25, 0.5], [1.0, 3.0, 0.0])

@@ -21,7 +21,8 @@ from abeltv import (
     solve_onion_peeling,
     solve_tv,
 )
-from abeltv.solver import _PrimalSystem, project_unit_ball
+from abeltv.operators import divergence, gradient
+from abeltv.solver import _primal_operator, project_unit_ball
 
 
 def noisy_instance(n_r, variance_fraction=0.0005, seed=7):
@@ -151,7 +152,7 @@ class TestSolveTV:
         A = build_abel_matrix(grid)
         f = ProjectionField(grid, np.full((8, 17), 1e300))
         params = SolverParams(lam=1e9, tau=0.2, gamma=0.2, max_iter=10)
-        with np.errstate(over="ignore"), pytest.raises(SolverDivergedError) as exc:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDivergedError) as exc:
             solve_tv(A, f, params)
         assert exc.value.iteration >= 1
 
@@ -186,14 +187,47 @@ class TestSolveTV:
             with pytest.raises(ValueError, match=r"8\*tau\*gamma"):
                 SolverParams(lam=80.0, tau=tau, gamma=gamma, max_iter=10)
 
-    def test_primal_system_residual(self):
-        A = build_abel_matrix(make_grids(32)[0])
-        system = _PrimalSystem(A, tau=0.2, lam=80.0)
+    @pytest.mark.parametrize("n_r", [32, 512])
+    def test_primal_operator_residual(self, n_r):
+        A = build_abel_matrix(make_grids(n_r)[0])
+        tau, lam = 0.2, 80.0
+        K = _primal_operator(A, tau=tau, lam=lam)
         rng = np.random.default_rng(2)
-        b = rng.normal(size=(32, 65))
-        x = system.solve(b)
-        resid = np.linalg.norm(system.matrix @ x - b) / np.linalg.norm(b)
+        b = rng.normal(size=(n_r, 2 * n_r + 1))
+        x = K @ b
+        resid = np.linalg.norm(x + tau * lam * (A.entries.T @ (A.entries @ x)) - b) / np.linalg.norm(b)
         assert resid <= 1e-10
+
+    def test_iteration_matches_public_operators(self):
+        # The solver's in-place loop against the iteration written out with
+        # the public operators and a dense solve of the primal system.
+        grid, A, u0, f0, f = noisy_instance(16)
+        tau, gamma, lam, n_iter = 0.2, 0.2, 80.0, 20
+        params = SolverParams(lam=lam, tau=tau, gamma=gamma, max_iter=n_iter, record_every=5)
+        got = solve_tv(A, f, params)
+
+        M = np.eye(16) + tau * lam * (A.entries.T @ A.entries)
+        rhs_data = tau * lam * (A.entries.T @ f.values)
+        u = np.zeros((16, 33))
+        v = np.zeros((2, 16, 33))
+        w = u.copy()
+        trace = []
+        for it in range(1, n_iter + 1):
+            v = project_unit_ball(v + gamma * gradient(w, h=1.0))
+            q = u + tau * divergence(v, h=1.0)
+            u_new = np.linalg.solve(M, q + rhs_data)
+            w = 2.0 * u_new - u
+            u = u_new
+            if it % 5 == 0:
+                trace.append((it, energy(RadialField(grid, u), A, f, lam)))
+
+        # the primal solves round differently; entries are compared at 1e-12
+        # of each array's largest magnitude, since some dual entries are
+        # differences that cancel to ~1e-3 of it
+        for a, b in [(got.u_star.values, u), (got.dual.values, v)]:
+            assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        assert [it for it, _ in got.energy_trace] == [it for it, _ in trace]
+        assert_allclose([e for _, e in got.energy_trace], [e for _, e in trace], rtol=1e-12)
 
 
 class TestOnionPeeling:
