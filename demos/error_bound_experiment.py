@@ -14,17 +14,23 @@ few seconds.
 
 from pathlib import Path
 
-from abeltv import ExperimentConfig, RunSpec, builtin_phantom, run_experiment
+from abeltv import (
+    ExperimentConfig,
+    NoiseSpec,
+    RunSpec,
+    SolverParams,
+    builtin_phantom,
+    run_experiment,
+)
 
 out = Path(__file__).parent / "out_error_bound_experiment"
 cfg = ExperimentConfig(
     grid_n=64,
     phantom=builtin_phantom("nested-annuli"),
-    phantom_name="nested-annuli",
     output_dir=out,
     runs=tuple(
-        RunSpec(variance_fraction=vf, lam=lam, tau=0.2, gamma=0.2,
-                max_iter=1500, seed=seed, record_every=500)
+        RunSpec(SolverParams(lam=lam, tau=0.2, gamma=0.2, max_iter=1500, record_every=500),
+                NoiseSpec(variance_fraction=vf, seed=seed))
         for vf, lam, seed in zip(
             (0.0025, 0.0005, 0.0001, 0.00002),
             (50.0, 80.0, 120.0, 170.0),
@@ -39,7 +45,7 @@ print(f"{'sigma2_frac':>12} {'lambda':>7} {'err_l2_uh':>10} {'resid':>8} "
       f"{'M1':>7} {'c':>7} {'M':>4} {'C*':>8}")
 for outcome, run in zip(outcomes, cfg.runs):
     r = outcome.report
-    print(f"{run.variance_fraction:>12.5f} {run.lam:>7.0f} {r.err_l2_uh:>10.5f} "
+    print(f"{run.noise.variance_fraction:>12.5f} {run.solver.lam:>7.0f} {r.err_l2_uh:>10.5f} "
           f"{r.resid_l2_vh:>8.5f} {r.m1:>7.4f} {r.c:>7.4f} {r.m:>4.1f} {r.c_star:>8.5f}")
 
 print(f"\nresults.csv, energy traces and field dumps written to {out}/")

@@ -18,7 +18,6 @@ from .analytic import (
     j_norms,
     j_transform,
     random_step_profiles,
-    running_average,
     stieltjes_inverse,
 )
 from .experiments import (

@@ -34,7 +34,6 @@ __all__ = [
     "j_norms",
     "indicator_family",
     "stieltjes_inverse",
-    "running_average",
     "random_step_profiles",
     "bound_ratios",
 ]
@@ -42,6 +41,9 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 # 96-node Gauss-Legendre rule on [-1, 1] for the panels of j_norms
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+# random_step_profiles draws 1.._MAX_PIECES nonzero pieces, jumps in (0, _BREAKPOINT_HIGH)
+_MAX_PIECES = 8
+_BREAKPOINT_HIGH = 0.95
 
 
 @dataclass(frozen=True)
@@ -107,17 +109,12 @@ class BoundConstants:
     c_l2_2d : constant of ||v||_L2 <= C ||v||_TV^(1/2) ||Jv||_L2^(1/2)
     c_l1_2d : constant of ||v||_L1 <= C ||v||_TV^(1/3) ||Jv||_L1^(2/3)
     young_l2, young_l1 : ||Jv||_L2 <= c ||v||_TV and ||Jv||_L1 <= c ||v||_TV
-    kernel_k1_l1, kernel_k2_l1 : L1 norms, as functions of the averaging
-        width h, of the two kernels splitting sqrt(pi) h v_h(x) into
-        convolutions against the transformed data.
     """
 
     c_l2_2d: float
     c_l1_2d: float
     young_l2: float
     young_l1: float
-    kernel_k1_l1: Callable[[float], float]
-    kernel_k2_l1: Callable[[float], float]
 
 
 def bound_constants() -> BoundConstants:
@@ -127,8 +124,6 @@ def bound_constants() -> BoundConstants:
         c_l1_2d=3.0 ** (4.0 / 3.0) * math.pi ** (-1.0 / 3.0) * (3.0 - math.sqrt(2.0)) ** (2.0 / 3.0),
         young_l2=math.sqrt(2.0 / math.pi),
         young_l1=4.0 / (3.0 * _SQRT_PI),
-        kernel_k1_l1=lambda h: 2.0 * math.sqrt(h),
-        kernel_k2_l1=lambda h: 2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(h),
     )
 
 
@@ -300,27 +295,11 @@ def stieltjes_inverse(g: PiecewiseConstantProfile, r: float) -> float:
     return float(-np.sum(sizes[mask] / np.sqrt(locs[mask] - r)) / _SQRT_PI)
 
 
-def running_average(v: Callable[[float], float], h: float, x: float) -> float:
-    """Trailing window average (1/h) * integral_{x-h}^x v."""
-    h = float(h)
-    x = float(x)
-    if not 0.0 < h <= 0.5:
-        raise ValueError(f"h must lie in (0, 1/2], got {h}")
-    if not h <= x <= 1.0:
-        raise ValueError(f"x must lie in [h, 1], got {x}")
-    return _quad(v, x - h, x) / h
-
-
-def random_step_profiles(
-    trials: int,
-    seed: int,
-    max_pieces: int = 8,
-    breakpoint_high: float = 0.95,
-) -> Iterator[PiecewiseConstantProfile]:
+def random_step_profiles(trials: int, seed: int) -> Iterator[PiecewiseConstantProfile]:
     """Seeded stream of random compactly supported step profiles.
 
-    Each profile has a uniform piece count in {1..max_pieces}, jump
-    locations uniform in (0, breakpoint_high), values uniform in [0, 1] and
+    Each profile has a uniform piece count in {1.._MAX_PIECES}, jump
+    locations uniform in (0, _BREAKPOINT_HIGH), values uniform in [0, 1] and
     a trailing zero piece, staying inside the hypotheses of the stability
     bounds (bounded, support in [0, 1)).
     """
@@ -328,9 +307,9 @@ def random_step_profiles(
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        pieces = int(rng.integers(1, max_pieces + 1))
+        pieces = int(rng.integers(1, _MAX_PIECES + 1))
         while True:
-            bps = np.sort(rng.uniform(0.0, breakpoint_high, pieces))
+            bps = np.sort(rng.uniform(0.0, _BREAKPOINT_HIGH, pieces))
             if bps[0] > 0.0 and (np.diff(bps) > 0.0).all():
                 break
         yield PiecewiseConstantProfile(

@@ -9,9 +9,10 @@
 * per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``.
 
-This module is the only one that knows that layout. Each ``RunSpec`` checks
-its solver and noise parameters when the config is parsed, so an
-inadmissible run stops the experiment before anything is computed.
+This module is the only one that knows that layout. Configs are parsed
+strictly and a run's ``SolverParams`` and ``NoiseSpec`` check themselves, so
+a malformed or inadmissible run stops the experiment before anything is
+computed or written.
 
 Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
@@ -55,27 +56,10 @@ _REPORT_COLUMNS = ("err_l2_uh", "resid_l2_vh", "m1", "c", "m", "c_star")
 
 @dataclass(frozen=True)
 class RunSpec:
-    variance_fraction: float
-    lam: float
-    tau: float
-    gamma: float
-    max_iter: int
-    seed: int
-    record_every: int = 100
+    """One reconstruction run: how to solve, and which noise to draw."""
 
-    def __post_init__(self):
-        # reject inadmissible values when the config is parsed, not mid-experiment
-        self.solver_params()
-        NoiseSpec(variance_fraction=self.variance_fraction, seed=self.seed)
-
-    def solver_params(self) -> SolverParams:
-        return SolverParams(
-            lam=self.lam,
-            tau=self.tau,
-            gamma=self.gamma,
-            max_iter=self.max_iter,
-            record_every=self.record_every,
-        )
+    solver: SolverParams
+    noise: NoiseSpec
 
 
 @dataclass(frozen=True)
@@ -84,7 +68,6 @@ class ExperimentConfig:
     phantom: PhantomSpec
     runs: tuple[RunSpec, ...]
     output_dir: Path
-    phantom_name: str = "custom"
 
     def __post_init__(self):
         if len(self.runs) == 0:
@@ -94,41 +77,86 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        """Parse the JSON config schema.
+        """Parse the JSON config schema, strictly.
 
         ``phantom`` is either a built-in name or an inline shape list; each
         run gives ``variance_fraction, lambda, tau, gamma, max_iter, seed``
-        (optional ``record_every``).
+        (optional ``record_every``). An unknown or missing key, a non-number
+        or a non-integral ``grid_n``, ``max_iter``, ``seed`` or
+        ``record_every`` raises ValueError naming the run index and the key.
         """
-        phantom = obj["phantom"]
-        if isinstance(phantom, str):
-            name, spec = phantom, builtin_phantom(phantom)
-        else:
-            name, spec = "custom", PhantomSpec.from_dict(phantom)
-        runs = tuple(
-            RunSpec(
-                variance_fraction=float(r["variance_fraction"]),
-                lam=float(r["lambda"]),
-                tau=float(r["tau"]),
-                gamma=float(r["gamma"]),
-                max_iter=int(r["max_iter"]),
-                seed=int(r["seed"]),
-                record_every=int(r.get("record_every", 100)),
-            )
-            for r in obj["runs"]
-        )
-        return cls(
-            grid_n=int(obj["grid_n"]),
-            phantom=spec,
-            runs=runs,
-            output_dir=Path(obj["output_dir"]),
-            phantom_name=name,
-        )
+        try:
+            top = _fields(obj, _CONFIG_SCHEMA)
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
+        runs = []
+        for i, r in enumerate(top["runs"]):
+            try:
+                r = _fields(r, _RUN_SCHEMA, {"record_every": 100})
+                solver = SolverParams(r["lambda"], r["tau"], r["gamma"], r["max_iter"], r["record_every"])
+                runs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
+            except ValueError as exc:
+                raise ValueError(f"run {i}: {exc}") from None
+        return cls(top["grid_n"], top["phantom"], tuple(runs), top["output_dir"])
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _fields(obj, schema: dict, defaults: dict = {}) -> dict:
+    """Parse each value of the JSON object ``obj``, whose keys must be
+    exactly those of ``schema`` (key -> parser), less any in ``defaults``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {obj!r}")
+    obj = {**defaults, **obj}
+    for key in {**obj, **schema}:
+        if key not in schema or key not in obj:
+            raise ValueError(f"{'unknown' if key in obj else 'missing'} key {key!r}")
+    return {key: parse(obj[key], key) for key, parse in schema.items()}
+
+
+def _json(what: str, kind, convert=None):
+    """Parser of a JSON value that must be a ``kind`` and not a bool."""
+
+    def parse(value, key: str):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return parse
+
+
+_number = _json("a number", (int, float), float)
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _json("an integer", int)(value, key)
+
+
+def _phantom(value, key: str) -> PhantomSpec:
+    if isinstance(value, str):
+        return builtin_phantom(value)
+    try:
+        return PhantomSpec.from_dict(value)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{key}: malformed inline phantom: {exc!r}") from None
+
+
+_CONFIG_SCHEMA = {
+    "grid_n": _integer,
+    "phantom": _phantom,
+    "output_dir": _json("a string", str, Path),
+    "runs": _json("a list", list),
+}
+_RUN_SCHEMA = {
+    **dict.fromkeys(("variance_fraction", "lambda", "tau", "gamma"), _number),
+    **dict.fromkeys(("max_iter", "seed", "record_every"), _integer),
+}
 
 
 @dataclass(frozen=True)
@@ -146,18 +174,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     Solver divergence marks the run failed in results.csv and the returned
     outcomes; remaining runs continue.
     """
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid, g3 = make_grids(cfg.grid_n)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(cfg.phantom, grid)
     f0 = apply_abel(A, u0)
+    out_dir = cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes: list[RunOutcome] = []
     for i, run in enumerate(cfg.runs):
-        f = add_noise(f0, NoiseSpec(variance_fraction=run.variance_fraction, seed=run.seed))
+        f = add_noise(f0, run.noise)
         try:
-            result = solve_tv(A, f, run.solver_params())
+            result = solve_tv(A, f, run.solver)
         except SolverDivergedError:
             outcomes.append(
                 RunOutcome(index=i, status="failed", report=None, energy_final=math.nan, iterations=0)
@@ -180,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
         f.to_csv(out_dir / f"run{i:02d}_f.csv")
         f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
 
-    rows = [_results_row(run.variance_fraction, out) for run, out in zip(cfg.runs, outcomes)]
+    rows = [_results_row(run.noise.variance_fraction, out) for run, out in zip(cfg.runs, outcomes)]
     (out_dir / "results.csv").write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
     return outcomes
 

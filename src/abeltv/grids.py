@@ -11,7 +11,7 @@ All computations live on the unit cylinder. Two grids appear:
   giving ``n_z = 2*n_r + 1`` samples.
 * ``GridXYZ`` -- the revolved Cartesian grid: ``x, y`` sample [-1, 1]
   (``2n+1`` points each) and ``z`` samples [0, 1] (``n+1`` points), all with
-  the same spacing ``h``.
+  the same spacing ``h = 1/n``.
 
 Field containers are immutable after construction and safe to share across
 threads. They round-trip bit-exactly through the CSV serializer below
@@ -44,19 +44,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridRZ:
-    """Cylindrical (r, z) grid: ``n_r`` radial cells, ``n_z`` axial samples."""
+    """Cylindrical (r, z) grid of ``n_r`` radial cells; n_z and h derive from it."""
 
     n_r: int
-    n_z: int
-    h: float
 
     def __post_init__(self):
         if self.n_r < 2:
             raise ValueError(f"n_r must be >= 2, got {self.n_r}")
-        if self.n_z != 2 * self.n_r + 1:
-            raise ValueError(f"n_z must equal 2*n_r + 1, got {self.n_z}")
-        if abs(self.h * self.n_r - 1.0) > 1e-15:
-            raise ValueError(f"h*n_r must equal 1, got h={self.h}, n_r={self.n_r}")
+
+    @property
+    def n_z(self) -> int:
+        return 2 * self.n_r + 1
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n_r
 
     @property
     def x(self) -> np.ndarray:
@@ -81,16 +83,17 @@ class GridRZ:
 
 @dataclass(frozen=True)
 class GridXYZ:
-    """Revolved Cartesian grid: x, y in [-1, 1], z in [0, 1], spacing h."""
+    """Revolved Cartesian grid: x, y in [-1, 1], z in [0, 1], spacing 1/n."""
 
     n: int
-    h: float
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if abs(self.h * self.n - 1.0) > 1e-15:
-            raise ValueError(f"h*n must equal 1, got h={self.h}, n={self.n}")
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n
 
     @property
     def xy(self) -> np.ndarray:
@@ -119,10 +122,7 @@ def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
     (GridRZ, GridXYZ)
         Grids sharing the same spacing.
     """
-    if n_r < 2:
-        raise ValueError(f"n_r must be >= 2, got {n_r}")
-    h = 1.0 / n_r
-    return GridRZ(n_r=n_r, n_z=2 * n_r + 1, h=h), GridXYZ(n=n_r, h=h)
+    return GridRZ(n_r), GridXYZ(n_r)
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,9 @@ class _Field2D:
         """Write ``# grid ...`` header plus one comma-separated line per row."""
         g = self.grid
         with open(path, "w") as fh:
-            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={float(g.h)!r}\n")
+            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}\n")
             for row in self.values.reshape(-1, g.n_z):
-                fh.write(",".join(repr(float(v)) for v in row))
+                fh.write(",".join(map(repr, row.tolist())))
                 fh.write("\n")
 
     @classmethod
@@ -177,7 +177,9 @@ class _Field2D:
             if not header.startswith("# grid "):
                 raise ValueError(f"{path}: missing '# grid' header")
             fields = dict(tok.split("=") for tok in header[len("# grid ") :].split())
-            grid = GridRZ(n_r=int(fields["n_r"]), n_z=int(fields["n_z"]), h=float(fields["h"]))
+            grid = GridRZ(int(fields["n_r"]))
+            if int(fields["n_z"]) != grid.n_z or float(fields["h"]) != grid.h:
+                raise ValueError(f"{path}: header {header.strip()!r} disagrees with n_r")
             rows = np.array(
                 [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
             )
@@ -212,14 +214,11 @@ class DualField(_Field2D):
     ``values`` has shape (2, n_r, n_z): component 0 is the radial-difference
     direction, component 1 the axial-difference direction; CSV holds the
     component-0 rows followed by the component-1 rows. After any
-    projection step the per-cell Euclidean magnitude is at most 1 (checked
-    by :meth:`max_cell_magnitude`, guaranteed by the solver's projection).
+    projection step the per-cell Euclidean magnitude is at most 1, which
+    the solver's projection guarantees.
     """
 
     _lead = (2,)
-
-    def max_cell_magnitude(self) -> float:
-        return float(np.sqrt(self.values[0] ** 2 + self.values[1] ** 2).max())
 
 
 def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
@@ -234,7 +233,7 @@ def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
     ----------
     u : RadialField
     g3 : GridXYZ
-        Must share the spacing (and resolution) of ``u.grid``.
+        Must have the resolution of ``u.grid`` (``g3.n == u.grid.n_r``).
 
     Returns
     -------
@@ -252,11 +251,8 @@ def _lattice_cells(grid: GridRZ, g3: GridXYZ) -> tuple[np.ndarray, np.ndarray]:
     cell floor(r/h), clipped to n_r - 1, of each; shape (2n+1, 2n+1) each.
     Computed on s = a^2 + b^2 = (r/h)^2 for lattice indices (a, b), which is
     exact: inside is s < n^2 and floor(sqrt(s)) is exact for s < 2^52."""
-    if g3.n != grid.n_r or g3.h != grid.h:
-        raise ValueError(
-            f"grid mismatch: GridXYZ(n={g3.n}, h={g3.h}) vs "
-            f"GridRZ(n_r={grid.n_r}, h={grid.h})"
-        )
+    if g3.n != grid.n_r:
+        raise ValueError(f"grid mismatch: GridXYZ(n={g3.n}) vs GridRZ(n_r={grid.n_r})")
     n = grid.n_r
     a = np.arange(-n, n + 1, dtype=np.int64)
     s = a[:, None] ** 2 + a[None, :] ** 2

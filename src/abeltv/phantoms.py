@@ -97,6 +97,8 @@ class NoiseSpec:
         vf = self.variance_fraction
         if not (math.isfinite(vf) and vf >= 0):
             raise ValueError(f"variance_fraction must be finite and >= 0, got {vf}")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 def rasterize_phantom(spec: PhantomSpec, g: GridRZ) -> RadialField:

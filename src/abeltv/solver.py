@@ -139,13 +139,9 @@ def _primal_operator(A: AbelMatrix, tau: float, lam: float) -> np.ndarray:
     return np.linalg.inv(np.eye(A.n) + tau * lam * (A.entries.T @ A.entries))
 
 
-def solve_tv(
-    A: AbelMatrix,
-    f: ProjectionField,
-    params: SolverParams,
-    u_init: RadialField | None = None,
-) -> SolveResult:
-    """Run the primal-dual iteration for exactly ``params.max_iter`` steps.
+def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveResult:
+    """Run the primal-dual iteration for exactly ``params.max_iter`` steps,
+    starting from zero primal and dual variables.
 
     Parameters
     ----------
@@ -153,8 +149,6 @@ def solve_tv(
     f : ProjectionField
         Measured data; shapes must agree with ``A``.
     params : SolverParams
-    u_init : RadialField, optional
-        Starting point; defaults to zero. The dual always starts at zero.
 
     Returns
     -------
@@ -171,12 +165,7 @@ def solve_tv(
     if A.n != f.grid.n_r:
         raise ValueError(f"matrix size {A.n} != data n_r {f.grid.n_r}")
     grid = f.grid
-    if u_init is not None:
-        if u_init.grid != grid:
-            raise ValueError("u_init grid does not match data grid")
-        u = u_init.values.copy()
-    else:
-        u = np.zeros((grid.n_r, grid.n_z))
+    u = np.zeros((grid.n_r, grid.n_z))
 
     tau, gamma, lam = params.tau, params.gamma, params.lam
     K = _primal_operator(A, tau, lam)

@@ -56,17 +56,11 @@ def experiment128(tmp_path_factory):
     cfg = ExperimentConfig(
         grid_n=128,
         phantom=builtin_phantom("nested-annuli"),
-        phantom_name="nested-annuli",
         output_dir=out,
         runs=tuple(
             RunSpec(
-                variance_fraction=vf,
-                lam=lam,
-                tau=0.2,
-                gamma=0.2,
-                max_iter=5000,
-                seed=seed,
-                record_every=1000,
+                SolverParams(lam=lam, tau=0.2, gamma=0.2, max_iter=5000, record_every=1000),
+                NoiseSpec(variance_fraction=vf, seed=seed),
             )
             for vf, lam, seed in zip(NOISE_LEVELS, LAMBDAS, SEEDS)
         ),

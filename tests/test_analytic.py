@@ -19,7 +19,6 @@ from abeltv import (
     j_norms,
     j_transform,
     random_step_profiles,
-    running_average,
     stieltjes_inverse,
 )
 
@@ -227,29 +226,6 @@ class TestStieltjesInverse:
             stieltjes_inverse(profile([0.0, 0.5], [1.0, 0.0]), 1.0)  # r outside [0,1)
 
 
-class TestRunningAverage:
-    def test_constant(self):
-        assert running_average(lambda y: 4.2, 0.25, 0.5) == pytest.approx(4.2, abs=1e-12)
-
-    def test_linear_exact(self):
-        assert running_average(lambda y: y, 0.2, 0.5) == pytest.approx(0.4, abs=1e-10)
-
-    def test_sup_norm_never_amplified(self):
-        v = lambda y: math.sin(7.0 * y) + 0.5 * math.cos(23.0 * y)
-        sup_v = 1.5  # |sin| + 0.5|cos| bound
-        h = 0.1
-        for x in np.linspace(h, 1.0, 50):
-            assert abs(running_average(v, h, float(x))) <= sup_v
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            running_average(lambda y: y, 0.6, 0.7)
-        with pytest.raises(ValueError):
-            running_average(lambda y: y, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            running_average(lambda y: y, 0.2, 0.1)
-
-
 class TestBoundConstants:
     def test_closed_form_values(self):
         C = bound_constants()
@@ -257,25 +233,6 @@ class TestBoundConstants:
         assert C.c_l1_2d == pytest.approx(4.0174, abs=1e-4)
         assert C.young_l2 == pytest.approx(0.7978846, abs=1e-7)
         assert C.young_l1 == pytest.approx(4.0 / (3.0 * SQRT_PI), abs=1e-15)
-
-    def test_kernel_l1_norms_scale_as_sqrt_h(self):
-        C = bound_constants()
-        for h in (0.5, 0.1, 0.01):
-            assert C.kernel_k1_l1(h) == pytest.approx(2.0 * math.sqrt(h))
-            assert C.kernel_k2_l1(h) == pytest.approx(2.0 * (2.0 - math.sqrt(2.0)) * math.sqrt(h))
-
-    def test_kernel_l1_norms_against_quadrature(self):
-        # K1(s) = 1/sqrt(h - s) on [0, h]; K2(s) = 1/sqrt(h+s) - 1/sqrt(s)
-        # on [0, h] (up to reflection); their L1 norms have the closed forms
-        # 2 sqrt(h) and 2(2 - sqrt(2)) sqrt(h).
-        h = 0.3
-        k1, _ = quad(lambda s: 1.0 / math.sqrt(h - s), 0.0, h, points=[h], limit=200)
-        k2, _ = quad(
-            lambda s: 1.0 / math.sqrt(s) - 1.0 / math.sqrt(s + h), 0.0, h, points=[0.0], limit=200
-        )
-        C = bound_constants()
-        assert k1 == pytest.approx(C.kernel_k1_l1(h), abs=1e-9)
-        assert k2 == pytest.approx(C.kernel_k2_l1(h), abs=1e-9)
 
     def test_all_positive(self):
         C = bound_constants()

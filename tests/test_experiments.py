@@ -1,15 +1,37 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abeltv.experiments as experiments
-from abeltv import ExperimentConfig, builtin_phantom, run_experiment, verify_bounds
+from abeltv import (
+    ExperimentConfig,
+    NoiseSpec,
+    RunSpec,
+    SolverParams,
+    builtin_phantom,
+    run_experiment,
+    verify_bounds,
+)
 from abeltv.cli import main
 from abeltv.experiments import RESULTS_HEADER
 from abeltv.grids import RadialField
 from abeltv.solver import SolverDivergedError
+
+
+DELETE = object()  # a parameter value meaning "remove the key"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**130), 2**130) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# values a config field may legitimately hold, so that some perturbed configs parse
+PLAUSIBLE = st.integers(1, 1000) | st.integers(1, 1000).map(float) | st.floats(0.001, 0.1)
 
 
 def small_config(tmp_path, runs=None, phantom="nested-annuli"):
@@ -31,14 +53,16 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         assert cfg.grid_n == 16
         assert cfg.phantom == builtin_phantom("nested-annuli")
-        assert cfg.phantom_name == "nested-annuli"
-        assert cfg.runs[0].lam == 80.0 and cfg.runs[1].seed == 4
+        assert cfg.runs[0] == RunSpec(
+            SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=150, record_every=100),
+            NoiseSpec(variance_fraction=0.0005, seed=3),
+        )
+        assert cfg.runs[1].noise.seed == 4
 
     def test_from_dict_inline_phantom(self, tmp_path):
         inline = json.loads(json.dumps(dataclasses.asdict(builtin_phantom("four-blobs"))))
         cfg = ExperimentConfig.from_dict(small_config(tmp_path, phantom=inline))
         assert cfg.phantom == builtin_phantom("four-blobs")
-        assert cfg.phantom_name == "custom"
 
     def test_empty_runs_rejected_before_compute(self, tmp_path):
         with pytest.raises(ValueError):
@@ -59,6 +83,77 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_dict(obj)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "where, key, bad, message",
+        [
+            ("run", "max_iter", 2.7, "run 1: max_iter must be an integer"),
+            ("run", "max_iter", True, "run 1: max_iter must be an integer"),
+            ("run", "seed", 3.5, "run 1: seed must be an integer"),
+            ("run", "record_every", "50", "run 1: record_every must be an integer"),
+            ("run", "lambda", "80", "run 1: lambda must be a number"),
+            ("run", "tau", None, "run 1: tau must be a number"),
+            ("run", "record_evry", 50, "run 1: unknown key 'record_evry'"),
+            ("run", "lambda", DELETE, "run 1: missing key 'lambda'"),
+            ("run", "seed", -1, "run 1: seed must lie in"),
+            ("top", "grid_n", 16.9, "config: grid_n must be an integer"),
+            ("top", "grid_n", False, "config: grid_n must be an integer"),
+            ("top", "grid", 16, "config: unknown key 'grid'"),
+            ("top", "phantom", DELETE, "config: missing key 'phantom'"),
+            ("top", "phantom", {"shape": []}, "config: phantom: malformed inline phantom"),
+            ("top", "runs", {}, "config: runs must be a list"),
+        ],
+    )
+    def test_malformed_config_rejected_before_compute(self, tmp_path, where, key, bad, message):
+        obj = small_config(tmp_path)
+        target = obj["runs"][1] if where == "run" else obj
+        if bad is DELETE:
+            del target[key]
+        else:
+            target[key] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(obj)
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_accepted_as_integers(self, tmp_path):
+        obj = small_config(tmp_path)
+        obj["grid_n"] = 16.0
+        obj["runs"][0].update(max_iter=150.0, seed=3.0, record_every=50.0)
+        cfg = ExperimentConfig.from_dict(obj)
+        run = cfg.runs[0]
+        assert cfg.grid_n == 16 and type(cfg.grid_n) is int
+        assert (run.solver.max_iter, run.noise.seed, run.solver.record_every) == (150, 3, 50)
+        assert all(type(v) is int for v in (run.solver.max_iter, run.noise.seed, run.solver.record_every))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_config_parses_as_given_or_raises_value_error(self, data):
+        obj = small_config(Path("unused"))
+        obj["runs"][0]["record_every"] = 50
+        target = data.draw(st.sampled_from([obj, *obj["runs"]]), label="level")
+        action = data.draw(st.sampled_from(["drop", "add", "replace"]), label="action")
+        if action == "drop":
+            del target[data.draw(st.sampled_from(sorted(target)), label="key")]
+        else:
+            key = data.draw(
+                st.sampled_from(sorted(target)) if action == "replace" else st.text(max_size=8),
+                label="key",
+            )
+            target[key] = data.draw(PLAUSIBLE | JSON_VALUES, label="value")
+        try:
+            cfg = ExperimentConfig.from_dict(obj)
+        except ValueError:
+            return
+        assert cfg.grid_n == obj["grid_n"] and cfg.output_dir == Path(obj["output_dir"])
+        for run, r in zip(cfg.runs, obj["runs"], strict=True):
+            assert run.solver == SolverParams(
+                lam=r["lambda"],
+                tau=r["tau"],
+                gamma=r["gamma"],
+                max_iter=r["max_iter"],
+                record_every=r.get("record_every", 100),
+            )
+            assert run.noise == NoiseSpec(variance_fraction=r["variance_fraction"], seed=r["seed"])
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -95,7 +190,7 @@ class TestRunExperiment:
             cols = row.split(",")
             rep = out.report
             assert [float(c) for c in cols[:8]] == [
-                run.variance_fraction,
+                run.noise.variance_fraction,
                 rep.err_l2_uh,
                 rep.resid_l2_vh,
                 rep.m1,
@@ -141,11 +236,11 @@ class TestRunExperiment:
         real_solve = experiments.solve_tv
         calls = {"n": 0}
 
-        def flaky(A, f, params, u_init=None):
+        def flaky(A, f, params):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise SolverDivergedError(7)
-            return real_solve(A, f, params, u_init)
+            return real_solve(A, f, params)
 
         monkeypatch.setattr(experiments, "solve_tv", flaky)
         outcomes = run_experiment(cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from abeltv import (
     DualField,
+    GridRZ,
     GridXYZ,
     ProjectionField,
     RadialField,
@@ -33,6 +35,14 @@ class TestMakeGrids:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             make_grids(1)
+
+    def test_grid_is_its_cell_count(self):
+        assert [f.name for f in dataclasses.fields(GridRZ)] == ["n_r"]
+        assert [f.name for f in dataclasses.fields(GridXYZ)] == ["n"]
+        grid = GridRZ(7)
+        assert (grid.n_z, grid.h) == (15, 1.0 / 7)
+        assert GridXYZ(7).h == grid.h
+        assert grid == make_grids(7)[0]
 
     def test_axial_samples_cover_unit_interval(self):
         grid, g3 = make_grids(8)
@@ -119,7 +129,7 @@ class TestRevolve:
     def test_grid_mismatch(self):
         grid, _ = make_grids(4)
         with pytest.raises(ValueError):
-            revolve(RadialField.zeros(grid), GridXYZ(n=8, h=0.125))
+            revolve(RadialField.zeros(grid), GridXYZ(8))
 
     def test_linearity_exact(self):
         grid, g3 = make_grids(6)
@@ -184,9 +194,14 @@ class TestSerialization:
         d.to_csv(path)
         assert_array_equal(DualField.from_csv(path).values, d.values)
 
-    def test_dual_field_magnitude(self):
-        grid, _ = make_grids(3)
-        vals = np.zeros((2, 3, 7))
-        vals[0, 1, 2] = 0.6
-        vals[1, 1, 2] = 0.8
-        assert DualField(grid, vals).max_cell_magnitude() == pytest.approx(1.0)
+    @pytest.mark.parametrize(
+        "header",
+        ["# grid n_r=5 n_z=12 h=0.2", "# grid n_r=5 n_z=11 h=0.25", "# grid n_r=5 n_z=11 h=0.2000001"],
+    )
+    def test_csv_header_disagreeing_with_n_r_rejected(self, field, tmp_path, header):
+        path = tmp_path / "u.csv"
+        field.to_csv(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match="disagrees with n_r"):
+            RadialField.from_csv(path)

@@ -113,7 +113,7 @@ class TestSolveTV:
         grid, A, u0, f0, f = noisy_instance(16)
         params = SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=300)
         result = solve_tv(A, f, params)
-        assert result.dual.max_cell_magnitude() <= 1.0 + 1e-12
+        assert np.hypot(*result.dual.values).max() <= 1.0 + 1e-12
 
     def test_minimizer_beats_truth_on_objective(self):
         grid, A, u0, f0, f = noisy_instance(32)
@@ -139,13 +139,6 @@ class TestSolveTV:
         err_n = norm_l2_vh(u_n.u_star.values - ref.u_star.values, grid.h)
         err_5n = norm_l2_vh(u_5n.u_star.values - ref.u_star.values, grid.h)
         assert err_5n <= 2.0 * (err_n / 5.0)
-
-    def test_warm_start_accepted(self):
-        grid, A, u0, f0, f = noisy_instance(16)
-        params = SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=50)
-        cold = solve_tv(A, f, params)
-        warm = solve_tv(A, f, params, u_init=cold.u_star)
-        assert warm.iterations_run == 50
 
     def test_divergence_detected_with_iteration(self):
         grid, _ = make_grids(8)
