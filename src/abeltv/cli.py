@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
                 f"err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} status=ok"
             )
         else:
-            print(f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} status=failed")
+            print(f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} status={out.status}")
     print(f"results written to {cfg.output_dir / 'results.csv'}")
     return 0 if all(o.status == "ok" for o in outcomes) else 1
 

@@ -5,7 +5,8 @@
 
 * ``results.csv`` with header
   ``sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status``
-  (one row per run, failed runs carry status ``failed``, never omitted);
+  (one row per run, rewritten after every run; a run that raised carries
+  status ``failed:<ErrorClass>`` and is never omitted);
 * per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,8 +37,8 @@ from . import analytic
 from .grids import make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
-from .phantoms import NoiseSpec, PhantomSpec, add_noise, builtin_phantom, rasterize_phantom
-from .solver import SolveResult, SolverDivergedError, SolverParams, solve_tv
+from .phantoms import NoiseSpec, PhantomSpec, Shape, add_noise, builtin_phantom, rasterize_phantom
+from .solver import SolveResult, SolverParams, solve_tv
 
 __all__ = [
     "RunSpec",
@@ -83,7 +85,8 @@ class ExperimentConfig:
         run gives ``variance_fraction, lambda, tau, gamma, max_iter, seed``
         (optional ``record_every``). An unknown or missing key, a non-number
         or a non-integral ``grid_n``, ``max_iter``, ``seed`` or
-        ``record_every`` raises ValueError naming the run index and the key.
+        ``record_every`` raises ValueError naming the run index and the key;
+        in an inline phantom, the shape index and the key.
         """
         try:
             top = _fields(obj, _CONFIG_SCHEMA)
@@ -139,12 +142,28 @@ def _integer(value, key: str) -> int:
 
 
 def _phantom(value, key: str) -> PhantomSpec:
+    """A built-in name, or an inline ``{"shapes": [...]}`` (schema in
+    ``phantoms``) parsed as strictly as the rest of the config."""
     if isinstance(value, str):
         return builtin_phantom(value)
     try:
-        return PhantomSpec.from_dict(value)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"{key}: malformed inline phantom: {exc!r}") from None
+        shapes = _fields(value, {"shapes": _json("a list", list)})["shapes"]
+        return PhantomSpec(tuple(_shape(s, i) for i, s in enumerate(shapes)))
+    except ValueError as exc:
+        raise ValueError(f"{key}: malformed inline phantom: {exc}") from None
+
+
+def _shape(obj, i: int) -> Shape:
+    try:
+        return Shape(**_fields(obj, _SHAPE_SCHEMA))
+    except ValueError as exc:
+        raise ValueError(f"shape {i}: {exc}") from None
+
+
+def _pair(value, key: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{key} must be a list of two numbers, got {value!r}")
+    return tuple(_number(v, key) for v in value)
 
 
 _CONFIG_SCHEMA = {
@@ -153,6 +172,7 @@ _CONFIG_SCHEMA = {
     "output_dir": _json("a string", str, Path),
     "runs": _json("a list", list),
 }
+_SHAPE_SCHEMA = {"kind": _json("a string", str), "r": _pair, "z": _pair, "level": _number}
 _RUN_SCHEMA = {
     **dict.fromkeys(("variance_fraction", "lambda", "tau", "gamma"), _number),
     **dict.fromkeys(("max_iter", "seed", "record_every"), _integer),
@@ -162,7 +182,7 @@ _RUN_SCHEMA = {
 @dataclass(frozen=True)
 class RunOutcome:
     index: int
-    status: str  # "ok" or "failed"
+    status: str  # "ok" or "failed:<ErrorClass>"
     report: BoundReport | None
     energy_final: float
     iterations: int
@@ -171,8 +191,10 @@ class RunOutcome:
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     """Execute every run in the config; see module docstring for outputs.
 
-    Solver divergence marks the run failed in results.csv and the returned
-    outcomes; remaining runs continue.
+    Any exception raised in a run marks that run ``failed:<ErrorClass>`` in
+    results.csv and the returned outcomes; the remaining runs continue.
+    results.csv is replaced after every run, so an interrupted experiment
+    keeps the rows of the runs it finished.
     """
     grid, g3 = make_grids(cfg.grid_n)
     A = build_abel_matrix(grid)
@@ -182,35 +204,32 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes: list[RunOutcome] = []
+    rows = [RESULTS_HEADER]
     for i, run in enumerate(cfg.runs):
-        f = add_noise(f0, run.noise)
         try:
-            result = solve_tv(A, f, run.solver)
-        except SolverDivergedError:
-            outcomes.append(
-                RunOutcome(index=i, status="failed", report=None, energy_final=math.nan, iterations=0)
-            )
-            continue
-        f_star = apply_abel(A, result.u_star)
-        report = bound_report(result.u_star, u0, f_star, f, f0, g3)
-        outcomes.append(
-            RunOutcome(
-                index=i,
-                status="ok",
-                report=report,
-                energy_final=result.final_energy,
-                iterations=result.iterations_run,
-            )
-        )
-        _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
-        u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
-        result.u_star.to_csv(out_dir / f"run{i:02d}_ustar.csv")
-        f.to_csv(out_dir / f"run{i:02d}_f.csv")
-        f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
-
-    rows = [_results_row(run.noise.variance_fraction, out) for run, out in zip(cfg.runs, outcomes)]
-    (out_dir / "results.csv").write_text("\n".join([RESULTS_HEADER, *rows]) + "\n")
+            outcome = _run(i, run, A, u0, f0, g3, out_dir)
+        except Exception as exc:
+            outcome = RunOutcome(i, f"failed:{type(exc).__name__}", None, math.nan, 0)
+        outcomes.append(outcome)
+        rows.append(_results_row(run.noise.variance_fraction, outcome))
+        tmp = out_dir / "results.csv.tmp"
+        tmp.write_text("\n".join(rows) + "\n")
+        os.replace(tmp, out_dir / "results.csv")
     return outcomes
+
+
+def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path) -> RunOutcome:
+    """Solve, report and dump run ``i``."""
+    f = add_noise(f0, run.noise)
+    result = solve_tv(A, f, run.solver)
+    f_star = apply_abel(A, result.u_star)
+    report = bound_report(result.u_star, u0, f_star, f, f0, g3)
+    _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
+    u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
+    result.u_star.to_csv(out_dir / f"run{i:02d}_ustar.csv")
+    f.to_csv(out_dir / f"run{i:02d}_f.csv")
+    f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
+    return RunOutcome(i, "ok", report, result.final_energy, result.iterations_run)
 
 
 def _results_row(variance_fraction: float, out: RunOutcome) -> str:

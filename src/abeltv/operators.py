@@ -12,6 +12,9 @@ The public operations are pure functions of immutable inputs. The stencils
 of ``gradient`` and ``divergence`` are written once, in private bodies that
 fill a caller's buffer; the public functions allocate and call them, and
 the solver calls them directly on buffers it allocates once per solve.
+Every full-array pass of a body runs over contiguous memory, so the bodies
+require C-contiguous output buffers and raise on any other layout rather
+than write into a copy; inputs of any layout are accepted.
 """
 
 from __future__ import annotations
@@ -123,10 +126,15 @@ def gradient(u, h: float | None = None) -> np.ndarray:
 
 def _gradient_into(u: np.ndarray, out: np.ndarray) -> None:
     """Plain per-cell forward differences of ``u`` written into ``out``,
-    shape (2,) + u.shape, with the zero last row/column of ``gradient``."""
-    np.subtract(u[1:, :], u[:-1, :], out=out[0, :-1, :])
-    out[0, -1, :] = 0.0
-    np.subtract(u[:, 1:], u[:, :-1], out=out[1, :, :-1])
+    shape (2,) + u.shape, with the zero last row/column of ``gradient``.
+    ``out[1]`` must be C-contiguous: the axial differences are one pass over
+    the raveled rows, and zeroing the last column clears the entries that
+    straddle two rows."""
+    axial = _flat(out[1])
+    np.subtract(u[1:], u[:-1], out=out[0, :-1])
+    out[0, -1] = 0.0
+    uf = u.reshape(-1)
+    np.subtract(uf[1:], uf[:-1], out=axial[:-1])
     out[1, :, -1] = 0.0
 
 
@@ -139,8 +147,8 @@ def divergence(p, h: float | None = None) -> np.ndarray:
     previous cell, so the last row/column of p never enters.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 3 or p.shape[0] != 2:
-        raise ValueError(f"expected shape (2, n_r, n_z), got {p.shape}")
+    if p.ndim != 3 or p.shape[0] != 2 or min(p.shape[1:]) < 2:
+        raise ValueError(f"expected shape (2, n_r, n_z) with n_r, n_z >= 2, got {p.shape}")
     if h is None:
         raise ValueError("h is required")
     d = np.empty(p.shape[1:])
@@ -150,17 +158,27 @@ def divergence(p, h: float | None = None) -> np.ndarray:
 
 
 def _divergence_into(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Plain per-cell divergence of the stacked pair ``p`` written into
-    ``out``; ``scratch`` has the shape of ``out`` and is overwritten."""
+    """Plain per-cell divergence of the stacked pair ``p`` (n_r, n_z >= 2)
+    written into ``out``. ``out`` and ``scratch``, of the same shape, must
+    be C-contiguous; ``scratch`` is overwritten. The radial part goes into
+    ``out``, the axial part into ``scratch`` in one pass over the raveled
+    rows (setting the first column clears the entries that straddle two
+    rows), and ``scratch`` is added."""
+    flat_out, flat_scratch = _flat(out), _flat(scratch)
     p1, p2 = p[0], p[1]
-    # accumulate onto zeros in this order: it fixes every bit of the
-    # result, signed zeros included
-    out.fill(0.0)
-    out[0, :] += p1[0, :]
-    np.subtract(p1[1:-1, :], p1[:-2, :], out=scratch[1:-1, :])
-    out[1:-1, :] += scratch[1:-1, :]
-    out[-1, :] -= p1[-2, :]
-    out[:, 0] += p2[:, 0]
-    np.subtract(p2[:, 1:-1], p2[:, :-2], out=scratch[:, 1:-1])
-    out[:, 1:-1] += scratch[:, 1:-1]
-    out[:, -1] -= p2[:, -2]
+    np.subtract(p1[1:], p1[:-1], out=out[1:])
+    out[0] = p1[0]
+    np.negative(p1[-2], out=out[-1])
+    p2f = p2.reshape(-1)
+    np.subtract(p2f[1:], p2f[:-1], out=flat_scratch[1:])
+    scratch[:, 0] = p2[:, 0]
+    np.negative(p2[:, -2], out=scratch[:, -1])
+    flat_out += flat_scratch
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The 1-D view of the C-contiguous buffer ``a``; any other layout
+    raises, so that no write can land in a copy."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"buffer of shape {a.shape} is not C-contiguous")
+    return a.reshape(-1)

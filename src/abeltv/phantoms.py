@@ -7,7 +7,8 @@ sample) entry the level of the last shape containing the point
 (cell-midpoint radius, axial sample height).
 
 Shape encoding, matching the JSON schema
-``{"shapes": [{"kind": "rect"|"half_ellipse", "r": [..], "z": [..], "level": ..}]}``:
+``{"shapes": [{"kind": "rect"|"half_ellipse", "r": [..], "z": [..], "level": ..}]}``
+that ``experiments`` parses for an inline phantom:
 
 * ``rect``: ``r = [r_lo, r_hi]``, ``z = [z_lo, z_hi]``.
 * ``half_ellipse``: ``r = [r_center, r_semiaxis]``, ``z = [z_center,
@@ -74,16 +75,6 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "shapes", tuple(self.shapes))
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PhantomSpec":
-        """Parse the ``{"shapes": [...]}`` schema of the module docstring."""
-        return cls(
-            shapes=tuple(
-                Shape(kind=s["kind"], r=tuple(s["r"]), z=tuple(s["z"]), level=s["level"])
-                for s in obj["shapes"]
-            )
-        )
 
 
 @dataclass(frozen=True)

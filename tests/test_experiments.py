@@ -21,6 +21,7 @@ from abeltv import (
 from abeltv.cli import main
 from abeltv.experiments import RESULTS_HEADER
 from abeltv.grids import RadialField
+from abeltv.metrics import DegenerateInstanceError
 from abeltv.solver import SolverDivergedError
 
 
@@ -32,6 +33,9 @@ JSON_VALUES = st.recursive(
 )
 # values a config field may legitimately hold, so that some perturbed configs parse
 PLAUSIBLE = st.integers(1, 1000) | st.integers(1, 1000).map(float) | st.floats(0.001, 0.1)
+
+
+INLINE = {"shapes": [{"kind": "rect", "r": [0.0, 0.5], "z": [-0.5, 0.5], "level": 1.0}]}
 
 
 def small_config(tmp_path, runs=None, phantom="nested-annuli"):
@@ -102,6 +106,19 @@ class TestConfig:
             ("top", "phantom", DELETE, "config: missing key 'phantom'"),
             ("top", "phantom", {"shape": []}, "config: phantom: malformed inline phantom"),
             ("top", "runs", {}, "config: runs must be a list"),
+            ("top", "phantom", {**INLINE, "name": "x"}, "phantom: malformed inline phantom: unknown key 'name'"),
+            (
+                "top",
+                "phantom",
+                {"shapes": [INLINE["shapes"][0], {**INLINE["shapes"][0], "levle": 0.3}]},
+                "phantom: malformed inline phantom: shape 1: unknown key 'levle'",
+            ),
+            (
+                "top",
+                "phantom",
+                {"shapes": [{k: v for k, v in INLINE["shapes"][0].items() if k != "level"}]},
+                "phantom: malformed inline phantom: shape 0: missing key 'level'",
+            ),
         ],
     )
     def test_malformed_config_rejected_before_compute(self, tmp_path, where, key, bad, message):
@@ -244,12 +261,53 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiments, "solve_tv", flaky)
         outcomes = run_experiment(cfg)
-        assert [o.status for o in outcomes] == ["failed", "ok"]
+        assert [o.status for o in outcomes] == ["failed:SolverDivergedError", "ok"]
         assert outcomes[0].report is None
         results = (cfg.output_dir / "results.csv").read_text().splitlines()
         assert len(results) == 3
-        assert results[1] == "0.0005,nan,nan,nan,nan,nan,nan,nan,0,failed"
+        assert results[1] == "0.0005,nan,nan,nan,nan,nan,nan,nan,0,failed:SolverDivergedError"
         assert results[2].endswith("ok")
+
+    def test_any_exception_in_a_run_is_isolated(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        real_report = experiments.bound_report
+        calls = {"n": 0}
+
+        def degenerate(*args):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise DegenerateInstanceError("M = 0")
+            return real_report(*args)
+
+        monkeypatch.setattr(experiments, "bound_report", degenerate)
+        outcomes = run_experiment(cfg)
+        assert [o.status for o in outcomes] == ["failed:DegenerateInstanceError", "ok"]
+        results = (cfg.output_dir / "results.csv").read_text().splitlines()
+        assert results[1].endswith(",0,failed:DegenerateInstanceError")
+        assert results[2].endswith("ok")
+        assert sorted(p.name for p in cfg.output_dir.iterdir()) == [
+            "results.csv",
+            *(f"run01_{kind}.csv" for kind in ("energy", "f", "fstar", "u0", "ustar")),
+        ]
+
+    def test_interrupted_experiment_keeps_finished_rows(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        real_solve = experiments.solve_tv
+        calls = {"n": 0}
+
+        def interrupted(A, f, params):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt
+            return real_solve(A, f, params)
+
+        monkeypatch.setattr(experiments, "solve_tv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg)
+        results = (cfg.output_dir / "results.csv").read_text().splitlines()
+        assert results[0] == RESULTS_HEADER
+        assert len(results) == 2 and results[1].startswith("0.0005,") and results[1].endswith(",150,ok")
+        assert not (cfg.output_dir / "results.csv.tmp").exists()
 
 
 class TestVerifyBounds:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,6 +15,7 @@ from abeltv import (
     gradient,
     make_grids,
 )
+from abeltv.operators import _divergence_into, _gradient_into
 
 SQRT3 = np.sqrt(3.0)
 
@@ -212,3 +215,66 @@ class TestDivergence:
         u = rng.normal(size=(10, 21))
         p = rng.normal(size=(2, 10, 21))
         assert abs(np.sum(gradient(u, h=1.0) * p) + np.sum(u * divergence(p, h=1.0))) <= 1e-12
+
+
+def _signed_zero_input(shape, order, seed):
+    """Random normal entries with exact +0.0 and -0.0 among them."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape)
+    a[rng.random(shape) < 0.15] = 0.0
+    a[rng.random(shape) < 0.15] = -0.0
+    return np.asarray(a, order=order)
+
+
+def _ref_gradient(u, h):
+    zeros_row, zeros_col = np.zeros((1, u.shape[1])), np.zeros((u.shape[0], 1))
+    return np.stack(
+        [
+            np.concatenate([np.diff(u, axis=0), zeros_row], axis=0),
+            np.concatenate([np.diff(u, axis=1), zeros_col], axis=1),
+        ]
+    ) / h
+
+
+def _ref_divergence(p, h):
+    p1, p2 = p
+    radial = np.concatenate([p1[:1], np.diff(p1[:-1], axis=0), -p1[-2:-1]], axis=0)
+    axial = np.concatenate([p2[:, :1], np.diff(p2[:, :-1], axis=1), -p2[:, -2:-1]], axis=1)
+    return (radial + axial) / h
+
+
+STENCIL_SHAPES = [(2, 3), (3, 7), (4, 2), (33, 67), (128, 257)]
+
+
+class TestStencilsAgainstReference:
+    @pytest.mark.parametrize("shape", STENCIL_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("h_kind", ["one", "inv_n_r", "0.3"])
+    def test_gradient_and_divergence_match_np_diff(self, shape, order, h_kind):
+        h = {"one": 1.0, "inv_n_r": 1.0 / shape[0], "0.3": 0.3}[h_kind]
+        u = _signed_zero_input(shape, order, 1)
+        p = _signed_zero_input((2,) + shape, order, 2)
+        assert (u == 0).any() and np.signbit(u[u == 0]).any()
+        assert_array_equal(gradient(u, h=h), _ref_gradient(u, h))
+        assert_array_equal(divergence(p, h=h), _ref_divergence(p, h))
+
+    def test_non_contiguous_out_rejected_untouched(self):
+        u = _signed_zero_input((4, 9), "C", 3)
+        p = _signed_zero_input((2, 4, 9), "C", 4)
+        out = np.full((2, 4, 9), 7.0, order="F")
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _gradient_into(u, out)
+        assert (out == 7.0).all()
+        for d, scratch in [
+            (np.full((4, 9), 7.0, order="F"), np.empty((4, 9))),
+            (np.full((4, 18), 7.0)[:, ::2], np.empty((4, 9))),
+            (np.full((4, 9), 7.0), np.empty((4, 9), order="F")),
+        ]:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                _divergence_into(p, d, scratch)
+            assert (d == 7.0).all()
+
+    @pytest.mark.parametrize("shape", [(2, 1, 5), (2, 5, 1), (2, 1, 1)])
+    def test_divergence_rejects_single_row_or_column(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            divergence(np.zeros(shape), h=1.0)

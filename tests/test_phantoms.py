@@ -8,6 +8,7 @@ from numpy.testing import assert_array_equal
 
 from abeltv import (
     BUILTIN_PHANTOM_NAMES,
+    ExperimentConfig,
     NoiseSpec,
     PhantomSpec,
     Shape,
@@ -31,17 +32,23 @@ class TestShapes:
     def test_json_roundtrip(self):
         # a spec written as the config's JSON schema parses back to itself
         spec = builtin_phantom("four-blobs")
-        back = PhantomSpec.from_dict(json.loads(json.dumps(dataclasses.asdict(spec))))
-        assert back == spec
+        assert _parse_inline(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
 
     def test_json_schema_fields(self):
         obj = {"shapes": [{"kind": "rect", "r": [0.0, 0.5], "z": [-0.25, 0.25], "level": 0.75}]}
-        assert PhantomSpec.from_dict(obj) == PhantomSpec(
+        assert _parse_inline(obj) == PhantomSpec(
             shapes=(Shape("rect", (0.0, 0.5), (-0.25, 0.25), 0.75),)
         )
         obj = dataclasses.asdict(builtin_phantom("nested-annuli"))
         assert set(obj) == {"shapes"}
         assert set(obj["shapes"][0]) == {"kind", "r", "z", "level"}
+
+
+def _parse_inline(phantom: dict) -> PhantomSpec:
+    """The phantom of a config whose ``phantom`` is ``phantom``."""
+    run = {"variance_fraction": 0.0, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 1, "seed": 0}
+    obj = {"grid_n": 16, "phantom": phantom, "output_dir": "unused", "runs": [run]}
+    return ExperimentConfig.from_dict(obj).phantom
 
 
 class TestRasterize:
