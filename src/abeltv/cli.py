@@ -28,7 +28,7 @@ def _cmd_run(args) -> int:
             r = out.report
             print(
                 f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} "
-                f"err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} status=ok"
+                f"err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} solve={out.solve_s:.3f}s status=ok"
             )
         else:
             print(f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} status={out.status}")

@@ -186,6 +186,7 @@ class RunOutcome:
     report: BoundReport | None
     energy_final: float
     iterations: int
+    solve_s: float  # solve_tv's wall time; nan for a failed run
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
@@ -209,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
         try:
             outcome = _run(i, run, A, u0, f0, g3, out_dir)
         except Exception as exc:
-            outcome = RunOutcome(i, f"failed:{type(exc).__name__}", None, math.nan, 0)
+            outcome = RunOutcome(i, f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
         outcomes.append(outcome)
         rows.append(_results_row(run.noise.variance_fraction, outcome))
         tmp = out_dir / "results.csv.tmp"
@@ -229,7 +230,7 @@ def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path) -> RunOutcome:
     result.u_star.to_csv(out_dir / f"run{i:02d}_ustar.csv")
     f.to_csv(out_dir / f"run{i:02d}_f.csv")
     f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
-    return RunOutcome(i, "ok", report, result.final_energy, result.iterations_run)
+    return RunOutcome(i, "ok", report, result.final_energy, result.iterations_run, result.wall_time)
 
 
 def _results_row(variance_fraction: float, out: RunOutcome) -> str:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -29,14 +30,44 @@ def profile(breakpoints, values):
     return PiecewiseConstantProfile(np.asarray(breakpoints, float), np.asarray(values, float))
 
 
-def test_import_does_not_load_scipy_integrate():
-    # only the quadrature paths need scipy.integrate; they import it on use
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's abeltv."""
     env = dict(os.environ)
     src = str(Path(abeltv.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # only the quadrature paths need scipy.integrate; they import it on use
     code = "import sys, abeltv, abeltv.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = fresh_python(code)
     assert out.stdout.strip() == "False"
+
+
+def test_user_paths_load_no_scipy(tmp_path):
+    # The import, `abeltv run`, `abeltv verify-bounds` and both solvers are
+    # numpy-only, so no scipy import lands in start-up or in a timed call;
+    # only j_transform/abel_transform quadrature loads scipy.
+    run = {"variance_fraction": 0.0005, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 20}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid_n": 8,
+        "phantom": "nested-annuli",
+        "output_dir": str(tmp_path / "out"),
+        "runs": [{**run, "seed": 1}, {**run, "seed": 2}],
+    }))
+    code = "\n".join([
+        "import sys",
+        "import abeltv, abeltv.cli",
+        f"assert abeltv.cli.main(['run', '--config', {str(cfg)!r}]) == 0",
+        "assert abeltv.cli.main(['verify-bounds', '--trials', '5']) == 0",
+        "grid, _ = abeltv.make_grids(8)",
+        "abeltv.solve_onion_peeling(abeltv.build_abel_matrix(grid), abeltv.ProjectionField.zeros(grid))",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    out = fresh_python(code)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestProfile:

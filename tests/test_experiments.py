@@ -263,6 +263,7 @@ class TestRunExperiment:
         outcomes = run_experiment(cfg)
         assert [o.status for o in outcomes] == ["failed:SolverDivergedError", "ok"]
         assert outcomes[0].report is None
+        assert math.isnan(outcomes[0].solve_s) and outcomes[1].solve_s > 0
         results = (cfg.output_dir / "results.csv").read_text().splitlines()
         assert len(results) == 3
         assert results[1] == "0.0005,nan,nan,nan,nan,nan,nan,nan,0,failed:SolverDivergedError"
@@ -354,6 +355,8 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "status=ok" in out
+        solve_s = [float(m) for m in re.findall(r" solve=([0-9.]+)s ", out)]
+        assert len(solve_s) == 2 and all(s > 0 for s in solve_s)
         assert (tmp_path / "out" / "results.csv").exists()
 
     def test_unknown_phantom_rejected(self, tmp_path):

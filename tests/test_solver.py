@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
 from abeltv import (
     NoiseSpec,
@@ -232,6 +233,17 @@ class TestOnionPeeling:
         back = solve_onion_peeling(A, apply_abel(A, u))
         err = np.linalg.norm(back.values - u.values) / np.linalg.norm(u.values)
         assert err <= 1e-12
+
+    def test_matches_triangular_back_substitution(self):
+        # the LU solve of an upper-triangular A is its back-substitution
+        for n_r in (2, 3, 33, 128, 512):
+            grid, _ = make_grids(n_r)
+            A = build_abel_matrix(grid)
+            rng = np.random.default_rng(n_r)
+            for _ in range(3):
+                f = rng.standard_normal((grid.n_r, grid.n_z))
+                u = solve_onion_peeling(A, ProjectionField(grid, f)).values
+                assert np.array_equal(u, solve_triangular(A.entries, f, lower=False)), n_r
 
     def test_zero_data(self):
         grid, _ = make_grids(8)
