@@ -4,8 +4,10 @@
     abeltv verify-bounds [--trials N] [--seed S]
     abeltv phantom --name nested-annuli --out u0.csv [--n 128]
 
-Exit code 0 iff every run succeeds / every bound check passes. Output is
-CSV only; plotting belongs to downstream tools.
+Exit code 0 iff every run succeeds / every bound check passes, and 2 for
+a usage error: a bad argument, or a config file that cannot be read or
+parsed (nothing is written then). Output is CSV only; plotting belongs to
+downstream tools.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ from .phantoms import BUILTIN_PHANTOM_NAMES, builtin_phantom, rasterize_phantom
 __all__ = ["main"]
 
 
-def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
+def _cmd_run(args, error) -> int:
+    try:
+        cfg = ExperimentConfig.from_json_file(args.config)
+    except (OSError, ValueError) as exc:
+        error(f"--config {args.config}: {exc}")
     outcomes = run_experiment(cfg)
     for out, run in zip(outcomes, cfg.runs):
         if out.status == "ok":
@@ -36,7 +41,11 @@ def _cmd_run(args) -> int:
     return 0 if all(o.status == "ok" for o in outcomes) else 1
 
 
-def _cmd_verify_bounds(args) -> int:
+def _cmd_verify_bounds(args, error) -> int:
+    if args.trials < 1:
+        error(f"argument --trials: must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        error(f"argument --seed: must be >= 0, got {args.seed}")
     summary = verify_bounds(seed=args.seed, trials=args.trials)
     print(f"bound suites: {summary.trials} trials, seed {summary.seed}")
     for line in summary.format_lines():
@@ -45,8 +54,11 @@ def _cmd_verify_bounds(args) -> int:
     return 0 if summary.all_passed else 1
 
 
-def _cmd_phantom(args) -> int:
-    grid, _ = make_grids(args.n)
+def _cmd_phantom(args, error) -> int:
+    try:
+        grid, _ = make_grids(args.n)
+    except ValueError as exc:
+        error(f"argument --n: {exc}")
     u0 = rasterize_phantom(builtin_phantom(args.name), grid)
     u0.to_csv(args.out)
     print(f"wrote {args.name} at n_r={args.n} to {args.out}")
@@ -76,7 +88,7 @@ def main(argv=None) -> int:
     p_ph.set_defaults(func=_cmd_phantom)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    return args.func(args, parser.error)
 
 
 if __name__ == "__main__":

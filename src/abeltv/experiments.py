@@ -85,8 +85,9 @@ class ExperimentConfig:
         run gives ``variance_fraction, lambda, tau, gamma, max_iter, seed``
         (optional ``record_every``). An unknown or missing key, a non-number
         or a non-integral ``grid_n``, ``max_iter``, ``seed`` or
-        ``record_every`` raises ValueError naming the run index and the key;
-        in an inline phantom, the shape index and the key.
+        ``record_every``, or a ``grid_n`` below 2, raises ValueError naming
+        the run index and the key; in an inline phantom, the shape index and
+        the key.
         """
         try:
             top = _fields(obj, _CONFIG_SCHEMA)
@@ -141,6 +142,16 @@ def _integer(value, key: str) -> int:
     return _json("an integer", int)(value, key)
 
 
+def _grid_n(value, key: str) -> int:
+    """An integer radial cell count that the grids accept."""
+    n = _integer(value, key)
+    try:
+        make_grids(n)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return n
+
+
 def _phantom(value, key: str) -> PhantomSpec:
     """A built-in name, or an inline ``{"shapes": [...]}`` (schema in
     ``phantoms``) parsed as strictly as the rest of the config."""
@@ -167,7 +178,7 @@ def _pair(value, key: str) -> tuple[float, float]:
 
 
 _CONFIG_SCHEMA = {
-    "grid_n": _integer,
+    "grid_n": _grid_n,
     "phantom": _phantom,
     "output_dir": _json("a string", str, Path),
     "runs": _json("a list", list),

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,56 @@ SQRT_PI = math.sqrt(math.pi)
 
 def profile(breakpoints, values):
     return PiecewiseConstantProfile(np.asarray(breakpoints, float), np.asarray(values, float))
+
+
+def step_profile(rng, pieces, trailing_zero=True):
+    """A random step profile with ``pieces`` pieces, values in [-1, 1]; the
+    last is 0 when ``trailing_zero``."""
+    bps = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 0.99, pieces - 1))])
+    vals = rng.uniform(-1.0, 1.0, pieces)
+    if trailing_zero and pieces > 1:
+        vals[-1] = 0.0
+    return PiecewiseConstantProfile(bps, vals)
+
+
+def j_steps_reference(v, xs):
+    """J v at the 1-D ``xs`` by the closed form one profile at a time."""
+    diff = np.sqrt(np.maximum(v.edges[None, :] - xs[:, None], 0.0))
+    return 2.0 * (diff[:, 1:] - diff[:, :-1]) @ v.values / SQRT_PI
+
+
+def j_norms_reference(v):
+    """(L1, L2) norms of J v, one Gauss-Legendre panel at a time."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    l1 = l2 = 0.0
+    for a, b in zip(v.edges[:-1], v.edges[1:]):
+        smax = math.sqrt(b - a)
+        s = 0.5 * smax * (nodes + 1.0)
+        w = 0.5 * smax * weights * 2.0 * s
+        g = j_steps_reference(v, b - s * s)
+        l1 += float(np.sum(w * np.abs(g)))
+        l2 += float(np.sum(w * g * g))
+    return l1, math.sqrt(l2)
+
+
+def bound_ratios_reference(profiles):
+    """The four stability ratios' maxima, one profile at a time."""
+    C = bound_constants()
+    worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
+    for v in profiles:
+        tv = v.tv()
+        if tv == 0.0:
+            continue
+        g_l1, g_l2 = j_norms_reference(v)
+        if g_l2 > 0.0:
+            r = v.norm_l2() / (C.c_l2_2d * math.sqrt(tv) * math.sqrt(g_l2))
+            worst["l2_product"] = max(worst["l2_product"], r)
+        if g_l1 > 0.0:
+            r = v.norm_l1() / (C.c_l1_2d * tv ** (1.0 / 3.0) * g_l1 ** (2.0 / 3.0))
+            worst["l1_product"] = max(worst["l1_product"], r)
+        worst["young_l2"] = max(worst["young_l2"], g_l2 / (C.young_l2 * tv))
+        worst["young_l1"] = max(worst["young_l1"], g_l1 / (C.young_l1 * tv))
+    return worst
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -178,6 +229,24 @@ class TestAbelTransform:
             abel_transform(lambda r: 0.0, 1.2)
 
 
+class TestJNorms:
+    @pytest.mark.parametrize("pieces", range(1, 10))
+    def test_matches_panel_by_panel_quadrature(self, pieces):
+        rng = np.random.default_rng(100 + pieces)
+        for trailing_zero in (True, False):
+            for _ in range(5):
+                v = step_profile(rng, pieces, trailing_zero)
+                assert_allclose(j_norms(v), j_norms_reference(v), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("pieces", range(1, 10))
+    def test_j_transform_matches_closed_form_reference(self, pieces):
+        v = step_profile(np.random.default_rng(200 + pieces), pieces)
+        xs = np.concatenate([np.linspace(0.0, 1.0, 41), v.edges])
+        want = j_steps_reference(v, xs)
+        got = [j_transform(v, x) for x in xs]
+        assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
 class TestIndicatorFamily:
     def test_k1_norms(self):
         fam = indicator_family(1.0)
@@ -277,6 +346,41 @@ class TestStabilityBounds:
         assert worst["l1_product"] <= 1.0
         assert worst["young_l2"] <= 1.0
         assert worst["young_l1"] <= 1.0
+
+    def test_batched_ratios_match_per_profile_loop(self):
+        rng = np.random.default_rng(31)
+        profiles = [
+            profile([0.0, 0.5], [0.0, 0.0]),  # TV 0: skipped
+            indicator_family(1.0).profile,  # full width, closing jump at 1
+            *(step_profile(rng, 2) for _ in range(3)),  # one nonzero piece
+            *(step_profile(rng, 9) for _ in range(43)),  # eight: full batches and a rest
+            profile([0.0], [0.0]),
+            *random_step_profiles(60, seed=5),
+        ]
+        rng.shuffle(profiles)
+        got = bound_ratios(profiles)
+        want = bound_ratios_reference(profiles)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0)
+            assert want[key] > 0.0
+
+    def test_ratios_of_no_profiles_or_only_zero_tv_are_zero(self):
+        zeros = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
+        assert bound_ratios(iter(())) == zeros
+        assert bound_ratios([profile([0.0], [0.0]), profile([0.0, 0.3], [0.0, 0.0])]) == zeros
+
+    def test_suite_memory_stays_bounded(self):
+        # Profiles are evaluated in small batches, never a whole piece-count
+        # group at once: the batches peak near 1.7 MB in a fresh process,
+        # whole groups near 13 MB.
+        tracemalloc.start()
+        try:
+            bound_ratios(random_step_profiles(1000, seed=20240))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_indicator_family_ratio_constant_below_one(self):
         # For the scaled indicators the product bound's left/right ratio is

@@ -35,6 +35,22 @@ JSON_VALUES = st.recursive(
 PLAUSIBLE = st.integers(1, 1000) | st.integers(1, 1000).map(float) | st.floats(0.001, 0.1)
 
 
+# `abeltv verify-bounds --trials 1000 --seed 20240`, line for line
+VERIFY_BOUNDS_20240 = [
+    "bound suites: 1000 trials, seed 20240",
+    "l2_product_bound                  max ratio 0.471195  PASS",
+    "l1_product_bound                  max ratio 0.300942  PASS",
+    "young_l2                          max ratio 0.948046  PASS",
+    "young_l1                          max ratio 0.923091  PASS",
+    "decay_slope_g_l1 (-1.5 +/- 0.02)  max ratio 0.000000  PASS",
+    "decay_slope_g_l2 (-1.0 +/- 0.02)  max ratio 0.000000  PASS",
+    "decay_slope_v_l2 (-0.5 +/- 0.02)  max ratio 0.000000  PASS",
+    "sum_bound_witness_g16_l2 (< 0.1)  max ratio 0.498678  PASS",
+    "indicator_tv_pinned (= 1)         max ratio 0.000000  PASS",
+    "indicator_l2_ratio (< 1)          max ratio 0.471195  PASS",
+    "all bounds hold",
+]
+
 INLINE = {"shapes": [{"kind": "rect", "r": [0.0, 0.5], "z": [-0.5, 0.5], "level": 1.0}]}
 
 
@@ -102,6 +118,7 @@ class TestConfig:
             ("run", "seed", -1, "run 1: seed must lie in"),
             ("top", "grid_n", 16.9, "config: grid_n must be an integer"),
             ("top", "grid_n", False, "config: grid_n must be an integer"),
+            ("top", "grid_n", 1, "config: grid_n: n_r must be >= 2, got 1"),
             ("top", "grid", 16, "config: unknown key 'grid'"),
             ("top", "phantom", DELETE, "config: missing key 'phantom'"),
             ("top", "phantom", {"shape": []}, "config: phantom: malformed inline phantom"),
@@ -347,6 +364,56 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "all bounds hold" in out
+
+    def test_verify_bounds_output_unchanged(self, capsys):
+        # the exact text of the default suite, as the per-profile loop printed it
+        assert main(["verify-bounds", "--trials", "1000", "--seed", "20240"]) == 0
+        assert capsys.readouterr().out.splitlines() == VERIFY_BOUNDS_20240
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0"], "argument --trials: must be >= 1, got 0"),
+            (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        ],
+    )
+    def test_verify_bounds_rejects_bad_arguments(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-bounds", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"abeltv: error: {message}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["runs"][1].pop("seed"), "run 1: missing key 'seed'"),
+            (lambda obj: obj.update(grid_n=1), "config: grid_n: n_r must be >= 2, got 1"),
+            (None, "Expecting"),  # not JSON
+        ],
+    )
+    def test_run_rejects_malformed_config(self, tmp_path, capsys, edit, message):
+        obj = small_config(tmp_path)
+        text = '{"grid_n": 16,'
+        if edit is not None:
+            edit(obj)
+            text = json.dumps(obj)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"abeltv: error: --config {cfg_path}: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_phantom_rejects_too_few_cells(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--name", "nested-annuli", "--out", str(tmp_path / "u0.csv"), "--n", "1"])
+        assert exc.value.code == 2
+        assert "abeltv: error: argument --n: n_r must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "u0.csv").exists()
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
