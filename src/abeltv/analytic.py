@@ -13,10 +13,14 @@ integrand is evaluated by adaptive quadrature; callers may declare interior
 breakpoints of v so the integration splits there. Piecewise-constant
 profiles bypass quadrature entirely via exact closed forms: one closed
 form of J v, written for stacks of profiles, serves ``j_transform``,
-``j_norms`` and ``bound_ratios``. ``bound_ratios`` buffers the profiles it
-is given by piece count and evaluates each small batch in one pass, so a
-random suite costs one pass per batch instead of one per panel of every
-profile, while the memory held at once stays bounded.
+``j_norms`` and ``bound_ratios``. The ratio pass takes step profiles as
+``(edges, values)`` array rows, copies them into one buffer per piece
+count and evaluates each small batch in one pass, so a random suite costs
+one pass per batch instead of one per panel of every profile, while the
+memory held at once stays bounded. The random trials of ``verify_bounds``
+flow as such rows from the draw to the ratio pass, with no
+``PiecewiseConstantProfile`` per trial; the batch pass checks the
+profile invariants once per batch instead.
 
 Everything here is a pure function; safe to call concurrently.
 """
@@ -342,19 +346,30 @@ def random_step_profiles(trials: int, seed: int) -> Iterator[PiecewiseConstantPr
     a trailing zero piece, staying inside the hypotheses of the stability
     bounds (bounded, support in [0, 1)).
     """
+    for edges, values in _random_steps(trials, seed):
+        yield PiecewiseConstantProfile(edges[:-1], values)
+
+
+def _random_steps(trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The profiles of ``random_step_profiles`` as ``(edges, values)`` rows,
+    drawn from the same stream without building a profile per row."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         pieces = int(rng.integers(1, _MAX_PIECES + 1))
+        edges = np.zeros(pieces + 2)
+        edges[-1] = 1.0
+        bps = edges[1:-1]
         while True:
-            bps = np.sort(rng.uniform(0.0, _BREAKPOINT_HIGH, pieces))
-            if bps[0] > 0.0 and (np.diff(bps) > 0.0).all():
+            bps[:] = rng.uniform(0.0, _BREAKPOINT_HIGH, pieces)
+            bps.sort()
+            # redraw unless 0 < b_1 < ... < b_pieces
+            if (bps > edges[:-2]).all():
                 break
-        yield PiecewiseConstantProfile(
-            np.concatenate([[0.0], bps]),
-            np.concatenate([rng.uniform(0.0, 1.0, pieces), [0.0]]),
-        )
+        values = np.zeros(pieces + 1)
+        values[:-1] = rng.uniform(0.0, 1.0, pieces)
+        yield edges, values
 
 
 def bound_ratios(profiles: Iterable[PiecewiseConstantProfile]) -> dict:
@@ -364,31 +379,55 @@ def bound_ratios(profiles: Iterable[PiecewiseConstantProfile]) -> dict:
     <= 1 for correct transforms; ratios above 1 indicate an implementation
     bug, not a failure of the (proven) bounds. Profiles with zero TV are
     skipped, and a product ratio whose transform norm is 0 is not formed.
+    """
+    return _worst_ratios((v.edges, v.values) for v in profiles)
 
-    Profiles are buffered by piece count, and each batch is evaluated in
-    one vectorised pass once it holds ``_BATCH_ROOTS`` square roots, which
-    bounds the memory held at once.
+
+def _worst_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
+    """``bound_ratios`` of step profiles given as ``(edges, values)`` rows.
+
+    Rows are copied into one buffer per piece count, and each buffer is
+    evaluated in one vectorised pass once it holds ``_BATCH_ROOTS`` square
+    roots, which bounds the memory held at once.
     """
     worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
-    pending: dict[int, list[PiecewiseConstantProfile]] = {}
-    for v in profiles:
-        pieces = len(v.values)
-        batch = pending.setdefault(pieces, [])
-        batch.append(v)
-        if len(batch) * pieces**2 * _GL_NODES.size >= _BATCH_ROOTS:
-            _update_worst(worst, batch)
-            batch.clear()
-    for batch in pending.values():
-        if batch:
-            _update_worst(worst, batch)
+    batches: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # piece count -> buffers
+    filled: dict[int, int] = {}  # piece count -> rows in its buffers
+    for edges, values in rows:
+        pieces = len(values)
+        if pieces not in batches:
+            size = -(-_BATCH_ROOTS // (pieces**2 * _GL_NODES.size))
+            batches[pieces] = np.empty((size, pieces + 1)), np.empty((size, pieces))
+            filled[pieces] = 0
+        batch_edges, batch_values = batches[pieces]
+        n = filled[pieces]
+        batch_edges[n], batch_values[n] = edges, values
+        n += 1
+        if n == len(batch_values):
+            _update_worst(worst, batch_edges, batch_values)
+            n = 0
+        filled[pieces] = n
+    for pieces, (batch_edges, batch_values) in batches.items():
+        if n := filled[pieces]:
+            _update_worst(worst, batch_edges[:n], batch_values[:n])
     return worst
 
 
-def _update_worst(worst: dict, batch: list[PiecewiseConstantProfile]) -> None:
-    """Raise ``worst``'s ratios to the largest over a batch of profiles with
-    equal piece counts."""
-    edges = np.stack([v.edges for v in batch])
-    values = np.stack([v.values for v in batch])
+def _update_worst(worst: dict, edges: np.ndarray, values: np.ndarray) -> None:
+    """Raise ``worst``'s ratios to the largest over a batch of step
+    profiles with equal piece counts, stacked as ``edges`` (B, P + 1) and
+    ``values`` (B, P).
+
+    The batch is held to the invariants of ``PiecewiseConstantProfile`` in
+    one test: edges rise strictly from 0 to 1, and values are finite.
+    """
+    if not (
+        (edges[:, 0] == 0.0).all()
+        and (edges[:, -1] == 1.0).all()
+        and (np.diff(edges, axis=-1) > 0.0).all()
+        and np.isfinite(values).all()
+    ):
+        raise ValueError("step profiles need edges rising strictly from 0 to 1 and finite values")
     tv = _tv(values)
     keep = tv != 0.0
     edges, values, tv = edges[keep], values[keep], tv[keep]

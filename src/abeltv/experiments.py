@@ -298,7 +298,7 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    worst = analytic.bound_ratios(analytic.random_step_profiles(trials, seed))
+    worst = analytic._worst_ratios(analytic._random_steps(trials, seed))
     checks = [
         BoundCheck("l2_product_bound", worst["l2_product"]),
         BoundCheck("l1_product_bound", worst["l1_product"]),
@@ -306,19 +306,15 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
         BoundCheck("young_l1", worst["young_l1"]),
     ]
 
-    ks = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    g_l1 = []
-    g_l2 = []
-    v_l2 = []
-    for k in ks:
-        fam = analytic.indicator_family(k)
-        l1, l2 = analytic.j_norms(fam.profile)
-        g_l1.append(l1)
-        g_l2.append(l2)
-        v_l2.append(fam.profile.norm_l2())
-    slope_g_l1 = np.polyfit(np.log(ks), np.log(g_l1), 1)[0]
-    slope_g_l2 = np.polyfit(np.log(ks), np.log(g_l2), 1)[0]
-    slope_v_l2 = np.polyfit(np.log(ks), np.log(v_l2), 1)[0]
+    # every indicator member the checks below use, with its (L1, L2) norms
+    # of J v_k, built and evaluated once
+    members = {k: analytic.indicator_family(k).profile for k in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)}
+    g_norms = {k: analytic.j_norms(v) for k, v in members.items()}
+
+    ks = (1.0, 2.0, 4.0, 8.0, 16.0)
+    slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
+    slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
+    slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
     checks += [
         BoundCheck("decay_slope_g_l1 (-1.5 +/- 0.02)", abs(slope_g_l1 + 1.5) / 0.02),
         BoundCheck("decay_slope_g_l2 (-1.0 +/- 0.02)", abs(slope_g_l2 + 1.0) / 0.02),
@@ -327,24 +323,16 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
 
     # Sum-form bounds cannot see ||v_k||_L2 -> 0 while the TV stays 1: the
     # witness is that the transform norm collapses with the TV pinned.
-    fam16 = analytic.indicator_family(16.0)
-    _, g16_l2 = analytic.j_norms(fam16.profile)
-    checks.append(BoundCheck("sum_bound_witness_g16_l2 (< 0.1)", g16_l2 / 0.1))
-    checks.append(
-        BoundCheck("indicator_tv_pinned (= 1)", abs(fam16.profile.tv() - 1.0) / 1e-12)
-    )
+    checks.append(BoundCheck("sum_bound_witness_g16_l2 (< 0.1)", g_norms[16.0][1] / 0.1))
+    checks.append(BoundCheck("indicator_tv_pinned (= 1)", abs(members[16.0].tv() - 1.0) / 1e-12))
 
     # Product-bound tightness on the indicator family: the ratio is a
     # k-independent constant strictly below 1.
     C = analytic.bound_constants()
-    ratio = 0.0
-    for k in (4.0, 16.0, 64.0, 256.0):
-        fam = analytic.indicator_family(k)
-        _, g_l2_k = analytic.j_norms(fam.profile)
-        ratio = max(
-            ratio,
-            fam.profile.norm_l2() / (C.c_l2_2d * math.sqrt(fam.profile.tv()) * math.sqrt(g_l2_k)),
-        )
+    ratio = max(
+        members[k].norm_l2() / (C.c_l2_2d * math.sqrt(members[k].tv()) * math.sqrt(g_norms[k][1]))
+        for k in (4.0, 16.0, 64.0, 256.0)
+    )
     checks.append(BoundCheck("indicator_l2_ratio (< 1)", ratio))
 
     return BoundCheckSummary(checks=tuple(checks), trials=trials, seed=seed)

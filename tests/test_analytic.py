@@ -23,8 +23,27 @@ from abeltv import (
     random_step_profiles,
     stieltjes_inverse,
 )
+from abeltv.analytic import _random_steps, _worst_ratios
 
 SQRT_PI = math.sqrt(math.pi)
+# the first three random_step_profiles(.., seed=9), as (breakpoints, values)
+SEED_9_PROFILES = [
+    (
+        [0.0, 0.2724763486331776, 0.5729907425489837, 0.6802708981233869, 0.7386573787741698],
+        [0.9153801204905075, 0.8603936491828846, 0.9182376290487624, 0.026587734467597213, 0.0],
+    ),
+    (
+        [
+            0.0, 0.005344748145423278, 0.06189648750160215, 0.41538560012303327,
+            0.46069711062842367, 0.7453793600390456, 0.7890903651226941, 0.9341371320718667,
+        ],
+        [
+            0.31560348997827314, 0.7053337045894538, 0.2991810731982467, 0.7407484828757487,
+            0.279747219748287, 0.7825909153281315, 0.9877407468945767, 0.0,
+        ],
+    ),
+    ([0.0, 0.838719438646842, 0.867169549194722], [0.7082069141031725, 0.5544968772635087, 0.0]),
+]
 
 
 def profile(breakpoints, values):
@@ -405,9 +424,36 @@ class TestStabilityBounds:
             assert 2 <= len(v.values) <= 9
 
     def test_generator_seeded_and_validated(self):
-        a = [v.breakpoints for v in random_step_profiles(5, seed=9)]
-        b = [v.breakpoints for v in random_step_profiles(5, seed=9)]
-        for x, y in zip(a, b):
-            assert_allclose(x, y, rtol=0)
+        # the rows verify_bounds draws are random_step_profiles' arrays
+        for seed in (9, 20240):
+            rows = list(_random_steps(1000, seed))
+            profiles = list(random_step_profiles(1000, seed))
+            assert len(rows) == len(profiles) == 1000
+            for (edges, values), v in zip(rows, profiles):
+                assert np.array_equal(edges, v.edges) and np.array_equal(values, v.values)
+        # and the stream itself is pinned
+        for v, (bps, vals) in zip(random_step_profiles(3, seed=9), SEED_9_PROFILES, strict=True):
+            assert v.breakpoints.tolist() == bps
+            assert v.values.tolist() == vals
         with pytest.raises(ValueError):
             list(random_step_profiles(0, seed=1))
+
+    @pytest.mark.parametrize(
+        "array, index, value",
+        [
+            ("edges", (1, 2), 0.2),  # repeats the breakpoint before it
+            ("values", (2, 0), np.nan),
+            ("values", (0, 1), np.inf),
+            ("edges", (1, 0), 0.1),  # does not start at 0
+            ("edges", (2, 3), 1.0),  # last breakpoint at 1
+        ],
+    )
+    def test_ratio_pass_rejects_corrupted_batch(self, array, index, value):
+        rows = {
+            "edges": np.tile([0.0, 0.2, 0.5, 0.7, 1.0], (3, 1)),
+            "values": np.tile([0.3, 1.0, 0.6, 0.0], (3, 1)),
+        }
+        assert _worst_ratios(zip(rows["edges"], rows["values"]))["young_l2"] > 0.0
+        rows[array][index] = value
+        with pytest.raises(ValueError, match="edges rising strictly from 0 to 1 and finite values"):
+            _worst_ratios(zip(rows["edges"], rows["values"]))
