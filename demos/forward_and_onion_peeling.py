@@ -31,7 +31,7 @@ print(f"phantom 'nested-annuli': peak level {u0.values.max()}, "
       f"{np.count_nonzero(u0.values)} occupied cells")
 
 f0 = apply_abel(A, u0)
-print(f"projection: ||f0||_l2(V_h) = {norm_l2_vh(f0, grid.h):.4f}, "
+print(f"projection: ||f0||_l2(V_h) = {norm_l2_vh(f0.values, grid.h):.4f}, "
       f"max {f0.values.max():.4f}")
 
 u_back = solve_onion_peeling(A, f0)

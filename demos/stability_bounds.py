@@ -12,8 +12,11 @@ import math
 import numpy as np
 
 from abeltv import (
+    C_L1_2D,
+    C_L2_2D,
+    YOUNG_L1,
+    YOUNG_L2,
     PiecewiseConstantProfile,
-    bound_constants,
     bound_ratios,
     indicator_family,
     j_norms,
@@ -43,14 +46,13 @@ for x in (0.0, 0.2, 0.4, 0.6):
           f"data = {float(g(x)):.8f}")
 
 print("\n== product-form stability bounds ==")
-C = bound_constants()
-print(f"  constants: L2 product {C.c_l2_2d:.4f}, L1 product {C.c_l1_2d:.4f}, "
-      f"||Jv||_L2 <= {C.young_l2:.4f} TV, ||Jv||_L1 <= {C.young_l1:.4f} TV")
+print(f"  constants: L2 product {C_L2_2D:.4f}, L1 product {C_L1_2D:.4f}, "
+      f"||Jv||_L2 <= {YOUNG_L2:.4f} TV, ||Jv||_L1 <= {YOUNG_L1:.4f} TV")
 worst = bound_ratios(random_step_profiles(500, seed=20240))
 for name, ratio in worst.items():
     print(f"  {name:12s} max left/right ratio over 500 random profiles: {ratio:.4f}")
 
 ratio = indicator_family(64.0)
 _, g_l2 = j_norms(ratio.profile)
-r = ratio.profile.norm_l2() / (C.c_l2_2d * math.sqrt(ratio.profile.tv() * g_l2))
+r = ratio.profile.norm_l2() / (C_L2_2D * math.sqrt(ratio.profile.tv() * g_l2))
 print(f"  indicator-family L2 ratio (k-independent, < 1): {r:.4f}")

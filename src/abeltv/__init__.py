@@ -8,11 +8,13 @@ analytic families.
 """
 
 from .analytic import (
-    BoundConstants,
+    C_L1_2D,
+    C_L2_2D,
+    YOUNG_L1,
+    YOUNG_L2,
     IndicatorFamily,
     PiecewiseConstantProfile,
     abel_transform,
-    bound_constants,
     bound_ratios,
     indicator_family,
     j_norms,
@@ -21,7 +23,6 @@ from .analytic import (
     stieltjes_inverse,
 )
 from .experiments import (
-    BoundCheckSummary,
     ExperimentConfig,
     RunOutcome,
     RunSpec,
@@ -57,7 +58,6 @@ from .operators import (
 from .phantoms import (
     BUILTIN_PHANTOM_NAMES,
     NoiseSpec,
-    PhantomSpec,
     Shape,
     add_noise,
     builtin_phantom,

@@ -35,9 +35,11 @@ import numpy as np
 
 __all__ = [
     "PiecewiseConstantProfile",
-    "BoundConstants",
     "IndicatorFamily",
-    "bound_constants",
+    "C_L2_2D",
+    "C_L1_2D",
+    "YOUNG_L2",
+    "YOUNG_L1",
     "j_transform",
     "abel_transform",
     "j_norms",
@@ -56,6 +58,15 @@ _BREAKPOINT_HIGH = 0.95
 # bound_ratios evaluates a batch of P-piece profiles, P^2 * 96 square roots
 # each, in one pass once the batch holds this many roots (256 KB of float64)
 _BATCH_ROOTS = 2**15
+
+# Closed-form constants of the stability and convolution bounds:
+# ||v||_L2 <= C_L2_2D ||v||_TV^(1/2) ||Jv||_L2^(1/2),
+# ||v||_L1 <= C_L1_2D ||v||_TV^(1/3) ||Jv||_L1^(2/3),
+# ||Jv||_L2 <= YOUNG_L2 ||v||_TV and ||Jv||_L1 <= YOUNG_L1 ||v||_TV.
+C_L2_2D = 2.0 * math.pi ** (-0.25) * (1.0 + 1.0 / math.sqrt(3.0)) ** 0.5 * (3.0 - math.sqrt(2.0)) ** 0.5
+C_L1_2D = 3.0 ** (4.0 / 3.0) * math.pi ** (-1.0 / 3.0) * (3.0 - math.sqrt(2.0)) ** (2.0 / 3.0)
+YOUNG_L2 = math.sqrt(2.0 / math.pi)
+YOUNG_L1 = 4.0 / (3.0 * _SQRT_PI)
 
 
 @dataclass(frozen=True)
@@ -79,13 +90,8 @@ class PiecewiseConstantProfile:
         vals = np.array(self.values, dtype=float)
         if bps.ndim != 1 or vals.shape != bps.shape or len(bps) == 0:
             raise ValueError("breakpoints and values must be matching 1-D arrays")
-        if bps[0] != 0.0:
-            raise ValueError("breakpoints must start at 0")
-        if (np.diff(bps) <= 0).any() or bps[-1] >= 1.0:
-            raise ValueError("breakpoints must increase strictly and stay below 1")
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
         edges = np.append(bps, 1.0)
+        _check_steps(edges, vals)
         for arr in (bps, vals, edges):
             arr.setflags(write=False)
         object.__setattr__(self, "breakpoints", bps)
@@ -114,8 +120,20 @@ class PiecewiseConstantProfile:
         return self.breakpoints[1:], np.diff(self.values)
 
 
-# Norms and TV of step profiles, over the last axis of stacked
+# Invariants, norms and TV of step profiles, over the last axis of stacked
 # ``edges`` (..., P + 1) and ``values`` (..., P).
+
+
+def _check_steps(edges: np.ndarray, values: np.ndarray) -> None:
+    """Raise ValueError unless the edges rise strictly from 0 to 1 and the
+    values are finite."""
+    if not (
+        (edges[..., 0] == 0.0).all()
+        and (edges[..., -1] == 1.0).all()
+        and (np.diff(edges, axis=-1) > 0.0).all()
+        and np.isfinite(values).all()
+    ):
+        raise ValueError("step profiles need edges rising strictly from 0 to 1 and finite values")
 
 
 def _norm_l1(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -128,31 +146,6 @@ def _norm_l2(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _tv(values: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.diff(values, axis=-1)), axis=-1) + np.abs(values[..., -1])
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Closed-form constants of the stability and convolution bounds.
-
-    c_l2_2d : constant of ||v||_L2 <= C ||v||_TV^(1/2) ||Jv||_L2^(1/2)
-    c_l1_2d : constant of ||v||_L1 <= C ||v||_TV^(1/3) ||Jv||_L1^(2/3)
-    young_l2, young_l1 : ||Jv||_L2 <= c ||v||_TV and ||Jv||_L1 <= c ||v||_TV
-    """
-
-    c_l2_2d: float
-    c_l1_2d: float
-    young_l2: float
-    young_l1: float
-
-
-def bound_constants() -> BoundConstants:
-    """Evaluate the bound constants exactly from their closed forms."""
-    return BoundConstants(
-        c_l2_2d=2.0 * math.pi ** (-0.25) * (1.0 + 1.0 / math.sqrt(3.0)) ** 0.5 * (3.0 - math.sqrt(2.0)) ** 0.5,
-        c_l1_2d=3.0 ** (4.0 / 3.0) * math.pi ** (-1.0 / 3.0) * (3.0 - math.sqrt(2.0)) ** (2.0 / 3.0),
-        young_l2=math.sqrt(2.0 / math.pi),
-        young_l1=4.0 / (3.0 * _SQRT_PI),
-    )
 
 
 def _require_unit_interval(x: float) -> float:
@@ -416,31 +409,21 @@ def _worst_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
 def _update_worst(worst: dict, edges: np.ndarray, values: np.ndarray) -> None:
     """Raise ``worst``'s ratios to the largest over a batch of step
     profiles with equal piece counts, stacked as ``edges`` (B, P + 1) and
-    ``values`` (B, P).
-
-    The batch is held to the invariants of ``PiecewiseConstantProfile`` in
-    one test: edges rise strictly from 0 to 1, and values are finite.
+    ``values`` (B, P), held to the invariants of ``PiecewiseConstantProfile``.
     """
-    if not (
-        (edges[:, 0] == 0.0).all()
-        and (edges[:, -1] == 1.0).all()
-        and (np.diff(edges, axis=-1) > 0.0).all()
-        and np.isfinite(values).all()
-    ):
-        raise ValueError("step profiles need edges rising strictly from 0 to 1 and finite values")
+    _check_steps(edges, values)
     tv = _tv(values)
     keep = tv != 0.0
     edges, values, tv = edges[keep], values[keep], tv[keep]
     v_l1, v_l2 = _norm_l1(edges, values), _norm_l2(edges, values)
     g_l1, g_l2 = _j_norms_stacked(edges, values)
-    C = bound_constants()
     l2 = g_l2 > 0.0
     l1 = g_l1 > 0.0
     ratios = {
-        "l2_product": v_l2[l2] / (C.c_l2_2d * np.sqrt(tv[l2]) * np.sqrt(g_l2[l2])),
-        "l1_product": v_l1[l1] / (C.c_l1_2d * tv[l1] ** (1.0 / 3.0) * g_l1[l1] ** (2.0 / 3.0)),
-        "young_l2": g_l2 / (C.young_l2 * tv),
-        "young_l1": g_l1 / (C.young_l1 * tv),
+        "l2_product": v_l2[l2] / (C_L2_2D * np.sqrt(tv[l2]) * np.sqrt(g_l2[l2])),
+        "l1_product": v_l1[l1] / (C_L1_2D * tv[l1] ** (1.0 / 3.0) * g_l1[l1] ** (2.0 / 3.0)),
+        "young_l2": g_l2 / (YOUNG_L2 * tv),
+        "young_l1": g_l1 / (YOUNG_L1 * tv),
     }
     for key, r in ratios.items():
         worst[key] = max(worst[key], float(np.max(r, initial=0.0)))

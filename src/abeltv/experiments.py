@@ -19,8 +19,8 @@ Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
 identical configs run with the same BLAS thread count.
 
-``verify_bounds`` drives the analytic inequality suites and reports each
-check as a ratio that must stay <= 1.
+``verify_bounds`` drives the analytic inequality suites and returns each
+check's ratio, which must stay <= 1.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .grids import make_grids
+from .grids import GridRZ, make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
-from .phantoms import NoiseSpec, PhantomSpec, Shape, add_noise, builtin_phantom, rasterize_phantom
+from .phantoms import NoiseSpec, Shape, add_noise, builtin_phantom, rasterize_phantom
 from .solver import SolveResult, SolverParams, solve_tv
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "RunOutcome",
     "run_experiment",
-    "BoundCheck",
-    "BoundCheckSummary",
     "verify_bounds",
     "RESULTS_HEADER",
 ]
@@ -67,7 +65,7 @@ class RunSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_n: int
-    phantom: PhantomSpec
+    phantom: tuple[Shape, ...]
     runs: tuple[RunSpec, ...]
     output_dir: Path
 
@@ -146,20 +144,20 @@ def _grid_n(value, key: str) -> int:
     """An integer radial cell count that the grids accept."""
     n = _integer(value, key)
     try:
-        make_grids(n)
+        GridRZ(n)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None
     return n
 
 
-def _phantom(value, key: str) -> PhantomSpec:
+def _phantom(value, key: str) -> tuple[Shape, ...]:
     """A built-in name, or an inline ``{"shapes": [...]}`` (schema in
     ``phantoms``) parsed as strictly as the rest of the config."""
     if isinstance(value, str):
         return builtin_phantom(value)
     try:
         shapes = _fields(value, {"shapes": _json("a list", list)})["shapes"]
-        return PhantomSpec(tuple(_shape(s, i) for i, s in enumerate(shapes)))
+        return tuple(_shape(s, i) for i, s in enumerate(shapes))
     except ValueError as exc:
         raise ValueError(f"{key}: malformed inline phantom: {exc}") from None
 
@@ -257,38 +255,11 @@ def _write_energy_trace(result: SolveResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    max_ratio: float
+def verify_bounds(seed: int = 20240, trials: int = 1000) -> dict[str, float]:
+    """Run the analytic inequality and decay-rate suites; map each check's
+    name to its ratio, in report order.
 
-    @property
-    def passed(self) -> bool:
-        return self.max_ratio <= 1.0
-
-
-@dataclass(frozen=True)
-class BoundCheckSummary:
-    checks: tuple[BoundCheck, ...]
-    trials: int
-    seed: int
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format_lines(self) -> list[str]:
-        width = max(len(c.name) for c in self.checks)
-        return [
-            f"{c.name:<{width}}  max ratio {c.max_ratio:.6f}  {'PASS' if c.passed else 'FAIL'}"
-            for c in self.checks
-        ]
-
-
-def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
-    """Run the analytic inequality and decay-rate suites.
-
-    Each check is normalized so the reported quantity must be <= 1:
+    Each check is normalized so the reported ratio must be <= 1:
     inequality checks report the max left/right ratio over the seeded
     random step profiles; decay-slope checks report |slope - target| over
     the 0.02 tolerance; the sum-bound suboptimality witness reports the
@@ -299,12 +270,12 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     worst = analytic._worst_ratios(analytic._random_steps(trials, seed))
-    checks = [
-        BoundCheck("l2_product_bound", worst["l2_product"]),
-        BoundCheck("l1_product_bound", worst["l1_product"]),
-        BoundCheck("young_l2", worst["young_l2"]),
-        BoundCheck("young_l1", worst["young_l1"]),
-    ]
+    ratios = {
+        "l2_product_bound": worst["l2_product"],
+        "l1_product_bound": worst["l1_product"],
+        "young_l2": worst["young_l2"],
+        "young_l1": worst["young_l1"],
+    }
 
     # every indicator member the checks below use, with its (L1, L2) norms
     # of J v_k, built and evaluated once
@@ -315,24 +286,19 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> BoundCheckSummary:
     slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
     slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
     slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
-    checks += [
-        BoundCheck("decay_slope_g_l1 (-1.5 +/- 0.02)", abs(slope_g_l1 + 1.5) / 0.02),
-        BoundCheck("decay_slope_g_l2 (-1.0 +/- 0.02)", abs(slope_g_l2 + 1.0) / 0.02),
-        BoundCheck("decay_slope_v_l2 (-0.5 +/- 0.02)", abs(slope_v_l2 + 0.5) / 0.02),
-    ]
+    ratios["decay_slope_g_l1 (-1.5 +/- 0.02)"] = abs(slope_g_l1 + 1.5) / 0.02
+    ratios["decay_slope_g_l2 (-1.0 +/- 0.02)"] = abs(slope_g_l2 + 1.0) / 0.02
+    ratios["decay_slope_v_l2 (-0.5 +/- 0.02)"] = abs(slope_v_l2 + 0.5) / 0.02
 
     # Sum-form bounds cannot see ||v_k||_L2 -> 0 while the TV stays 1: the
     # witness is that the transform norm collapses with the TV pinned.
-    checks.append(BoundCheck("sum_bound_witness_g16_l2 (< 0.1)", g_norms[16.0][1] / 0.1))
-    checks.append(BoundCheck("indicator_tv_pinned (= 1)", abs(members[16.0].tv() - 1.0) / 1e-12))
+    ratios["sum_bound_witness_g16_l2 (< 0.1)"] = g_norms[16.0][1] / 0.1
+    ratios["indicator_tv_pinned (= 1)"] = abs(members[16.0].tv() - 1.0) / 1e-12
 
     # Product-bound tightness on the indicator family: the ratio is a
     # k-independent constant strictly below 1.
-    C = analytic.bound_constants()
-    ratio = max(
-        members[k].norm_l2() / (C.c_l2_2d * math.sqrt(members[k].tv()) * math.sqrt(g_norms[k][1]))
+    ratios["indicator_l2_ratio (< 1)"] = max(
+        members[k].norm_l2() / (analytic.C_L2_2D * math.sqrt(members[k].tv()) * math.sqrt(g_norms[k][1]))
         for k in (4.0, 16.0, 64.0, 256.0)
     )
-    checks.append(BoundCheck("indicator_l2_ratio (< 1)", ratio))
-
-    return BoundCheckSummary(checks=tuple(checks), trials=trials, seed=seed)
+    return ratios

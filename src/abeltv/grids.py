@@ -190,7 +190,6 @@ class _Field2D:
         return cls(grid, rows.reshape(want))
 
 
-@dataclass(frozen=True)
 class RadialField(_Field2D):
     """Sampled axisymmetric density u(r_j, z_k) on a GridRZ.
 
@@ -202,12 +201,10 @@ class RadialField(_Field2D):
     """
 
 
-@dataclass(frozen=True)
 class ProjectionField(_Field2D):
     """Sampled line-of-sight data f(x_i, z_k) on a GridRZ."""
 
 
-@dataclass(frozen=True)
 class DualField(_Field2D):
     """Per-cell 2-vector dual variable of the primal-dual iteration.
 

@@ -1,6 +1,7 @@
 """Discrete norms and the error-bound diagnostic quantities.
 
-Norm conventions (spacing h):
+The norms take sample arrays and the spacing h, except ``tv_seminorm``,
+which takes a ``RadialField`` and reads h from its grid. Norm conventions:
 
     ||u||_{l2(U_h)} = (h^3 * sum u^2)^(1/2)      revolved Cartesian samples
     ||u||_{l2(V_h)} = (h^2 * sum u^2)^(1/2)      cylindrical (r, z) samples
@@ -50,37 +51,25 @@ class DegenerateInstanceError(ValueError):
     """The bound ratio is 0/0 (e.g. u* = u0 = 0 with exact data)."""
 
 
-def _values(u) -> np.ndarray:
-    return u.values if hasattr(u, "values") else np.asarray(u, dtype=float)
-
-
 def norm_l2_uh(u3: np.ndarray, h: float) -> float:
     """(h^3 * sum u^2)^(1/2) over a revolved 3-D sample array."""
     u3 = np.asarray(u3, dtype=float)
     return float(np.sqrt(h**3 * np.sum(u3 * u3)))
 
 
-def norm_l2_vh(u, h: float) -> float:
+def norm_l2_vh(u: np.ndarray, h: float) -> float:
     """(h^2 * sum u^2)^(1/2) over a 2-D (r, z) or (x, z) sample array."""
-    vals = _values(u)
-    return float(np.sqrt(h**2 * np.sum(vals * vals)))
+    return float(np.sqrt(h**2 * np.sum(u * u)))
 
 
-def tv_seminorm(u, h: float | None = None) -> float:
+def tv_seminorm(u: RadialField) -> float:
     """h * sum of per-cell Euclidean magnitudes of the per-cell differences."""
-    if isinstance(u, RadialField):
-        vals, h = u.values, u.grid.h
-    else:
-        if h is None:
-            raise ValueError("h is required when passing a bare array")
-        vals = np.asarray(u, dtype=float)
-    g = gradient(vals, h=1.0)
-    return h * float(np.sqrt(g[0] ** 2 + g[1] ** 2).sum())
+    g = gradient(u.values, h=1.0)
+    return u.grid.h * float(np.sqrt(g[0] ** 2 + g[1] ** 2).sum())
 
 
-def norm_linf(u) -> float:
-    vals = _values(u)
-    return float(np.abs(vals).max()) if vals.size else 0.0
+def norm_linf(u: np.ndarray) -> float:
+    return float(np.abs(u).max()) if u.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +108,7 @@ def bound_report(
     """
     h = u_star.grid.h
     c = max(tv_seminorm(u_star), tv_seminorm(u0))
-    m = max(norm_linf(u_star), norm_linf(u0))
+    m = max(norm_linf(u_star.values), norm_linf(u0.values))
     resid = norm_l2_vh(f_star.values - f.values, h)
     noise = norm_l2_vh(f.values - f0.values, h)
     m1 = (resid + noise) ** (1.0 / 3.0)

@@ -93,33 +93,17 @@ def apply_abel_transpose(A: AbelMatrix, f: ProjectionField) -> np.ndarray:
     return A.entries.T @ f.values
 
 
-def _values_and_h(u, h):
-    if isinstance(u, RadialField):
-        return u.values, u.grid.h
-    if h is None:
-        raise ValueError("h is required when passing a bare array")
-    return np.asarray(u, dtype=float), float(h)
-
-
-def gradient(u, h: float | None = None) -> np.ndarray:
-    """Forward-difference gradient, divided by the spacing.
+def gradient(u: np.ndarray, h: float) -> np.ndarray:
+    """Forward-difference gradient of the (n_r, n_z) array ``u``, divided
+    by the spacing ``h`` (pass ``h=1.0`` for plain per-cell differences).
 
     Component 0 differences along the radial index with a zero last row;
-    component 1 along the axial index with a zero last column.
-
-    Parameters
-    ----------
-    u : RadialField or ndarray
-        Field to differentiate. For a bare array, ``h`` must be given
-        (pass ``h=1.0`` for plain per-cell differences).
-
-    Returns
-    -------
-    ndarray of shape (2, n_r, n_z)
+    component 1 along the axial index with a zero last column. Returns
+    shape (2, n_r, n_z).
     """
-    vals, h = _values_and_h(u, h)
-    g = np.empty((2,) + vals.shape)
-    _gradient_into(vals, g)
+    u = np.asarray(u, dtype=float)
+    g = np.empty((2,) + u.shape)
+    _gradient_into(u, g)
     g /= h
     return g
 
@@ -138,22 +122,21 @@ def _gradient_into(u: np.ndarray, out: np.ndarray) -> None:
     out[1, :, -1] = 0.0
 
 
-def divergence(p, h: float | None = None) -> np.ndarray:
+def divergence(p: np.ndarray, h: float) -> np.ndarray:
     """Backward-difference divergence, the negative adjoint of ``gradient``.
 
-    Accepts the (2, n_r, n_z) stacked pair produced by ``gradient`` (or a
-    DualField's ``values``). The boundary cases mirror the gradient's zero
-    rows: the first index keeps p itself, the last index keeps -p from the
-    previous cell, so the last row/column of p never enters.
+    Takes the (2, n_r, n_z) stacked pair produced by ``gradient`` (or a
+    DualField's ``values``) and the spacing ``h``. The boundary cases
+    mirror the gradient's zero rows: the first index keeps p itself, the
+    last index keeps -p from the previous cell, so the last row/column of
+    p never enters.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 3 or p.shape[0] != 2 or min(p.shape[1:]) < 2:
         raise ValueError(f"expected shape (2, n_r, n_z) with n_r, n_z >= 2, got {p.shape}")
-    if h is None:
-        raise ValueError("h is required")
     d = np.empty(p.shape[1:])
     _divergence_into(p, d, np.empty(p.shape[1:]))
-    d /= float(h)
+    d /= h
     return d
 
 

@@ -1,8 +1,8 @@
 """Synthetic axisymmetric ground-truth densities and the Gaussian noise model.
 
-A phantom is a list of shapes in the (r, z) half-plane, each an axis-aligned
-rectangle or a half-ellipse, painted in order (later shapes overwrite
-earlier ones). Rasterizing on a grid assigns each (radial cell, axial
+A phantom is a tuple of ``Shape``s in the (r, z) half-plane, each an
+axis-aligned rectangle or a half-ellipse, painted in order (later shapes
+overwrite earlier ones). Rasterizing on a grid assigns each (radial cell, axial
 sample) entry the level of the last shape containing the point
 (cell-midpoint radius, axial sample height).
 
@@ -10,12 +10,16 @@ Shape encoding, matching the JSON schema
 ``{"shapes": [{"kind": "rect"|"half_ellipse", "r": [..], "z": [..], "level": ..}]}``
 that ``experiments`` parses for an inline phantom:
 
-* ``rect``: ``r = [r_lo, r_hi]``, ``z = [z_lo, z_hi]``.
+* ``rect``: ``r = [r_lo, r_hi]`` with r_lo < r_hi, ``z = [z_lo, z_hi]``
+  with z_lo <= z_hi.
 * ``half_ellipse``: ``r = [r_center, r_semiaxis]``, ``z = [z_center,
-  z_semiaxis]``; the region is the ellipse intersected with r >= 0.
+  z_semiaxis]`` with both semiaxes > 0; the region is the ellipse
+  intersected with r >= 0.
 
-Every shape must stay inside [0, 1-h) x [-1+h, 1-h] so that rasterized
-fields vanish on the outermost radial cell and the axial boundary rows.
+Every coordinate must be finite; a ``Shape`` that breaks these rules
+raises ValueError naming ``r`` or ``z``. Every shape must also stay inside
+[0, 1-h) x [-1+h, 1-h] so that rasterized fields vanish on the outermost
+radial cell and the axial boundary rows.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .grids import GridRZ, ProjectionField, RadialField
 
 __all__ = [
     "Shape",
-    "PhantomSpec",
     "NoiseSpec",
     "rasterize_phantom",
     "add_noise",
@@ -50,8 +53,17 @@ class Shape:
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError(f"level must lie in [0, 1], got {self.level}")
-        object.__setattr__(self, "r", (float(self.r[0]), float(self.r[1])))
-        object.__setattr__(self, "z", (float(self.z[0]), float(self.z[1])))
+        for name in ("r", "z"):
+            lo, hi = map(float, getattr(self, name))
+            object.__setattr__(self, name, (lo, hi))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
+            if self.kind == "half_ellipse" and hi <= 0.0:
+                raise ValueError(f"{name} semiaxis must be > 0, got {hi}")
+        if self.kind == "rect" and self.r[1] <= self.r[0]:
+            raise ValueError(f"r must satisfy r_lo < r_hi, got {self.r}")
+        if self.kind == "rect" and self.z[1] < self.z[0]:
+            raise ValueError(f"z must satisfy z_lo <= z_hi, got {self.z}")
 
     def extent(self) -> tuple[float, float, float]:
         """(max radius, min z, max z) of the region."""
@@ -70,14 +82,6 @@ class Shape:
 
 
 @dataclass(frozen=True)
-class PhantomSpec:
-    shapes: tuple[Shape, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Additive Gaussian noise: variance = variance_fraction * max|f0|."""
 
@@ -92,14 +96,14 @@ class NoiseSpec:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
-def rasterize_phantom(spec: PhantomSpec, g: GridRZ) -> RadialField:
+def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:
     """Paint the shapes onto the grid, later shapes overwriting earlier.
 
     Raises ValueError if any shape escapes the supported box
     [0, 1-h) x [-1+h, 1-h] on this grid.
     """
     h = g.h
-    for s in spec.shapes:
+    for s in shapes:
         r_max, z_lo, z_hi = s.extent()
         if r_max > 1.0 - h or z_lo < -1.0 + h or z_hi > 1.0 - h:
             raise ValueError(
@@ -107,7 +111,7 @@ def rasterize_phantom(spec: PhantomSpec, g: GridRZ) -> RadialField:
             )
     R, Z = np.meshgrid(g.r_centers, g.z, indexing="ij")
     values = np.zeros_like(R)
-    for s in spec.shapes:
+    for s in shapes:
         mask = s.contains(R, Z)
         values[mask] = s.level
     return RadialField(g, values)
@@ -127,23 +131,19 @@ def add_noise(f0: ProjectionField, ns: NoiseSpec) -> ProjectionField:
     return ProjectionField(f0.grid, f0.values + eta)
 
 
-_NESTED_ANNULI = PhantomSpec(
-    shapes=(
-        Shape("rect", (0.00, 0.72), (-0.75, 0.75), 0.30),
-        Shape("rect", (0.00, 0.52), (-0.55, 0.55), 0.00),
-        Shape("rect", (0.00, 0.45), (-0.45, 0.45), 0.60),
-        Shape("rect", (0.00, 0.28), (-0.30, 0.30), 0.00),
-        Shape("rect", (0.00, 0.20), (-0.20, 0.20), 1.00),
-    )
+_NESTED_ANNULI = (
+    Shape("rect", (0.00, 0.72), (-0.75, 0.75), 0.30),
+    Shape("rect", (0.00, 0.52), (-0.55, 0.55), 0.00),
+    Shape("rect", (0.00, 0.45), (-0.45, 0.45), 0.60),
+    Shape("rect", (0.00, 0.28), (-0.30, 0.30), 0.00),
+    Shape("rect", (0.00, 0.20), (-0.20, 0.20), 1.00),
 )
 
-_FOUR_BLOBS = PhantomSpec(
-    shapes=(
-        Shape("half_ellipse", (0.00, 0.25), (0.55, 0.20), 0.80),
-        Shape("half_ellipse", (0.45, 0.12), (0.10, 0.30), 1.00),
-        Shape("rect", (0.10, 0.30), (-0.50, -0.25), 0.60),
-        Shape("half_ellipse", (0.20, 0.15), (-0.70, 0.12), 0.40),
-    )
+_FOUR_BLOBS = (
+    Shape("half_ellipse", (0.00, 0.25), (0.55, 0.20), 0.80),
+    Shape("half_ellipse", (0.45, 0.12), (0.10, 0.30), 1.00),
+    Shape("rect", (0.10, 0.30), (-0.50, -0.25), 0.60),
+    Shape("half_ellipse", (0.20, 0.15), (-0.70, 0.12), 0.40),
 )
 
 _BUILTINS = {
@@ -154,7 +154,7 @@ _BUILTINS = {
 BUILTIN_PHANTOM_NAMES = tuple(sorted(_BUILTINS))
 
 
-def builtin_phantom(name: str) -> PhantomSpec:
+def builtin_phantom(name: str) -> tuple[Shape, ...]:
     """Named phantoms: 'nested-annuli' (concentric levels around the axis)
     and 'four-blobs' (four disjoint components)."""
     try:

@@ -126,7 +126,7 @@ def energy(u: RadialField, A: AbelMatrix, f: ProjectionField, lam: float) -> flo
     """Objective value E(u) = h^2 sum|Du| + (lam/2) ||Au - f||_{l2(V_h)}^2.
 
     The TV term is h * tv_seminorm(u)."""
-    if A.n != u.grid.n_r or u.grid.n_z != f.grid.n_z or u.grid.n_r != f.grid.n_r:
+    if A.n != u.grid.n_r or u.grid != f.grid:
         raise ValueError("inconsistent shapes between matrix, field and data")
     h = u.grid.h
     resid = A.entries @ u.values - f.values

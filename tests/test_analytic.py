@@ -13,9 +13,12 @@ from scipy.integrate import quad
 
 import abeltv
 from abeltv import (
+    C_L1_2D,
+    C_L2_2D,
+    YOUNG_L1,
+    YOUNG_L2,
     PiecewiseConstantProfile,
     abel_transform,
-    bound_constants,
     bound_ratios,
     indicator_family,
     j_norms,
@@ -82,7 +85,6 @@ def j_norms_reference(v):
 
 def bound_ratios_reference(profiles):
     """The four stability ratios' maxima, one profile at a time."""
-    C = bound_constants()
     worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
     for v in profiles:
         tv = v.tv()
@@ -90,13 +92,13 @@ def bound_ratios_reference(profiles):
             continue
         g_l1, g_l2 = j_norms_reference(v)
         if g_l2 > 0.0:
-            r = v.norm_l2() / (C.c_l2_2d * math.sqrt(tv) * math.sqrt(g_l2))
+            r = v.norm_l2() / (C_L2_2D * math.sqrt(tv) * math.sqrt(g_l2))
             worst["l2_product"] = max(worst["l2_product"], r)
         if g_l1 > 0.0:
-            r = v.norm_l1() / (C.c_l1_2d * tv ** (1.0 / 3.0) * g_l1 ** (2.0 / 3.0))
+            r = v.norm_l1() / (C_L1_2D * tv ** (1.0 / 3.0) * g_l1 ** (2.0 / 3.0))
             worst["l1_product"] = max(worst["l1_product"], r)
-        worst["young_l2"] = max(worst["young_l2"], g_l2 / (C.young_l2 * tv))
-        worst["young_l1"] = max(worst["young_l1"], g_l1 / (C.young_l1 * tv))
+        worst["young_l2"] = max(worst["young_l2"], g_l2 / (YOUNG_L2 * tv))
+        worst["young_l1"] = max(worst["young_l1"], g_l1 / (YOUNG_L1 * tv))
     return worst
 
 
@@ -347,15 +349,13 @@ class TestStieltjesInverse:
 
 class TestBoundConstants:
     def test_closed_form_values(self):
-        C = bound_constants()
-        assert C.c_l2_2d == pytest.approx(2.3759, abs=1e-4)
-        assert C.c_l1_2d == pytest.approx(4.0174, abs=1e-4)
-        assert C.young_l2 == pytest.approx(0.7978846, abs=1e-7)
-        assert C.young_l1 == pytest.approx(4.0 / (3.0 * SQRT_PI), abs=1e-15)
+        assert C_L2_2D == pytest.approx(2.3759, abs=1e-4)
+        assert C_L1_2D == pytest.approx(4.0174, abs=1e-4)
+        assert YOUNG_L2 == pytest.approx(0.7978846, abs=1e-7)
+        assert YOUNG_L1 == pytest.approx(4.0 / (3.0 * SQRT_PI), abs=1e-15)
 
     def test_all_positive(self):
-        C = bound_constants()
-        assert min(C.c_l2_2d, C.c_l1_2d, C.young_l2, C.young_l1) > 0
+        assert min(C_L2_2D, C_L1_2D, YOUNG_L2, YOUNG_L1) > 0
 
 
 class TestStabilityBounds:
@@ -405,13 +405,12 @@ class TestStabilityBounds:
         # For the scaled indicators the product bound's left/right ratio is
         # k-independent and strictly below 1 (the bound is tight up to the
         # constant).
-        C = bound_constants()
         ratios = []
         for k in (2.0, 8.0, 32.0, 128.0):
             fam = indicator_family(k)
             _, g_l2 = j_norms(fam.profile)
             ratios.append(
-                fam.profile.norm_l2() / (C.c_l2_2d * math.sqrt(fam.profile.tv() * g_l2))
+                fam.profile.norm_l2() / (C_L2_2D * math.sqrt(fam.profile.tv() * g_l2))
             )
         assert_allclose(ratios, ratios[0], rtol=1e-8)
         assert 0.0 < ratios[0] < 1.0

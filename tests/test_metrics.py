@@ -5,6 +5,7 @@ import pytest
 
 from abeltv import (
     DegenerateInstanceError,
+    GridRZ,
     ProjectionField,
     RadialField,
     SolverParams,
@@ -69,7 +70,7 @@ class TestNormL2Vh:
 
 class TestTVSeminorm:
     def test_constant_field(self):
-        assert tv_seminorm(np.full((8, 17), 3.3), 0.125) == 0.0
+        assert tv_seminorm(RadialField(GridRZ(8), np.full((8, 17), 3.3))) == 0.0
 
     def test_interior_rectangle_perimeter(self):
         # Indicator of [0.3, 0.6] x [-0.4, 0.4]: all four edges interior,
@@ -78,7 +79,7 @@ class TestTVSeminorm:
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
         u = ((R >= 0.3) & (R < 0.6) & (np.abs(Z) <= 0.4)).astype(float)
         a, b = 0.3, 0.8
-        assert tv_seminorm(u, grid.h) == pytest.approx(2 * (a + b), abs=4 * grid.h)
+        assert tv_seminorm(RadialField(grid, u)) == pytest.approx(2 * (a + b), abs=4 * grid.h)
 
     def test_boundary_cell_count_oracle(self):
         # Unit-level rectangle: TV = h * (number of jump cells), counted
@@ -92,12 +93,15 @@ class TestTVSeminorm:
         # cells carrying both a radial and an axial jump contribute sqrt(2)
         n_corner = int((d1[:, :-1] & d2[:-1, :]).sum())
         expected = h * (d1.sum() + d2.sum() - 2 * n_corner) + h * np.sqrt(2.0) * n_corner
-        assert tv_seminorm(u, h) == pytest.approx(expected, rel=1e-12)
+        assert tv_seminorm(RadialField(grid, u)) == pytest.approx(expected, rel=1e-12)
 
     def test_scaling(self):
         rng = np.random.default_rng(2)
         u = rng.normal(size=(10, 21))
-        assert tv_seminorm(4.0 * u, 0.1) == pytest.approx(4.0 * tv_seminorm(u, 0.1), rel=1e-14)
+        grid = GridRZ(10)
+        assert tv_seminorm(RadialField(grid, 4.0 * u)) == pytest.approx(
+            4.0 * tv_seminorm(RadialField(grid, u)), rel=1e-14
+        )
 
     def test_nested_annuli_boundary_length(self):
         # Regression pin: with the spacing-scaled gradient the phantom's TV
@@ -114,7 +118,7 @@ class TestNormLinf:
         assert norm_linf(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
         grid, _ = make_grids(32)
         u = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
-        assert norm_linf(u) == 1.0
+        assert norm_linf(u.values) == 1.0
 
 
 class TestBoundReport:
@@ -156,7 +160,7 @@ class TestBoundReport:
         rep = bound_report(u_star, u0, f_star, f, f0, g3)
         h = grid.h
         assert rep.c == max(tv_seminorm(u_star), tv_seminorm(u0))
-        assert rep.m == max(norm_linf(u_star), norm_linf(u0))
+        assert rep.m == max(norm_linf(u_star.values), norm_linf(u0.values))
         resid = norm_l2_vh(f_star.values - f.values, h)
         noise = norm_l2_vh(f.values - f0.values, h)
         assert rep.resid_l2_vh == resid

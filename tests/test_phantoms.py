@@ -10,7 +10,6 @@ from abeltv import (
     BUILTIN_PHANTOM_NAMES,
     ExperimentConfig,
     NoiseSpec,
-    PhantomSpec,
     Shape,
     add_noise,
     apply_abel,
@@ -29,22 +28,49 @@ class TestShapes:
         with pytest.raises(ValueError):
             Shape("rect", (0.0, 0.5), (0.0, 0.5), 1.5)
 
+    @pytest.mark.parametrize(
+        "kind, r, z, key",
+        [
+            ("rect", (0.0, math.nan), (-0.5, 0.5), "r"),
+            ("rect", (0.0, 0.5), (-math.inf, 0.5), "z"),
+            ("half_ellipse", (math.nan, 0.1), (0.0, 0.3), "r"),
+            ("half_ellipse", (0.5, -0.6), (0.0, 0.3), "r"),  # passed the box check
+            ("half_ellipse", (0.2, 0.1), (0.0, -1.5), "z"),  # painted both axial boundary rows
+            ("half_ellipse", (0.2, 0.0), (0.0, 0.3), "r"),
+            ("rect", (0.5, 0.2), (-0.5, 0.5), "r"),  # painted nothing
+            ("rect", (0.3, 0.3), (-0.5, 0.5), "r"),
+            ("rect", (0.0, 0.5), (0.4, -0.4), "z"),
+        ],
+    )
+    def test_degenerate_geometry_rejected(self, kind, r, z, key):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            Shape(kind, r, z, 1.0)
+
+    def test_flat_rect_allowed(self):
+        grid, _ = make_grids(32)
+        u = rasterize_phantom((Shape("rect", (0.0, 0.5), (0.25, 0.25), 1.0),), grid)
+        assert_array_equal(u.values[:16, 40], 1.0)
+        assert u.values.sum() == 16.0
+
     def test_json_roundtrip(self):
         # a spec written as the config's JSON schema parses back to itself
         spec = builtin_phantom("four-blobs")
-        assert _parse_inline(json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+        assert _parse_inline(json.loads(json.dumps(_as_json(spec)))) == spec
 
     def test_json_schema_fields(self):
         obj = {"shapes": [{"kind": "rect", "r": [0.0, 0.5], "z": [-0.25, 0.25], "level": 0.75}]}
-        assert _parse_inline(obj) == PhantomSpec(
-            shapes=(Shape("rect", (0.0, 0.5), (-0.25, 0.25), 0.75),)
-        )
-        obj = dataclasses.asdict(builtin_phantom("nested-annuli"))
+        assert _parse_inline(obj) == (Shape("rect", (0.0, 0.5), (-0.25, 0.25), 0.75),)
+        obj = _as_json(builtin_phantom("nested-annuli"))
         assert set(obj) == {"shapes"}
         assert set(obj["shapes"][0]) == {"kind", "r", "z", "level"}
 
 
-def _parse_inline(phantom: dict) -> PhantomSpec:
+def _as_json(shapes: tuple[Shape, ...]) -> dict:
+    """The inline phantom of the config's JSON schema for ``shapes``."""
+    return {"shapes": [dataclasses.asdict(s) for s in shapes]}
+
+
+def _parse_inline(phantom: dict) -> tuple[Shape, ...]:
     """The phantom of a config whose ``phantom`` is ``phantom``."""
     run = {"variance_fraction": 0.0, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 1, "seed": 0}
     obj = {"grid_n": 16, "phantom": phantom, "output_dir": "unused", "runs": [run]}
@@ -54,14 +80,14 @@ def _parse_inline(phantom: dict) -> PhantomSpec:
 class TestRasterize:
     def test_empty_spec_gives_zero_field(self):
         grid, _ = make_grids(16)
-        u = rasterize_phantom(PhantomSpec(shapes=()), grid)
+        u = rasterize_phantom((), grid)
         assert not u.values.any()
 
     def test_single_rectangle_levels_and_tv(self):
         from abeltv import tv_seminorm
 
         grid, _ = make_grids(64)
-        spec = PhantomSpec(shapes=(Shape("rect", (0.0, 0.5), (-0.5, 0.5), 1.0),))
+        spec = (Shape("rect", (0.0, 0.5), (-0.5, 0.5), 1.0),)
         u = rasterize_phantom(spec, grid)
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
         inside = (R < 0.5) & (np.abs(Z) <= 0.5)
@@ -75,11 +101,9 @@ class TestRasterize:
 
     def test_overwrite_rule(self):
         grid, _ = make_grids(32)
-        spec = PhantomSpec(
-            shapes=(
-                Shape("rect", (0.0, 0.6), (-0.6, 0.6), 1.0),
-                Shape("rect", (0.0, 0.3), (-0.3, 0.3), 0.4),
-            )
+        spec = (
+            Shape("rect", (0.0, 0.6), (-0.6, 0.6), 1.0),
+            Shape("rect", (0.0, 0.3), (-0.3, 0.3), 0.4),
         )
         u = rasterize_phantom(spec, grid)
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
@@ -88,17 +112,17 @@ class TestRasterize:
 
     def test_permutation_invariance_for_disjoint_shapes(self):
         grid, _ = make_grids(32)
-        shapes = builtin_phantom("four-blobs").shapes
-        u_fwd = rasterize_phantom(PhantomSpec(shapes=shapes), grid)
-        u_rev = rasterize_phantom(PhantomSpec(shapes=shapes[::-1]), grid)
+        shapes = builtin_phantom("four-blobs")
+        u_fwd = rasterize_phantom(shapes, grid)
+        u_rev = rasterize_phantom(shapes[::-1], grid)
         assert_array_equal(u_fwd.values, u_rev.values)
 
     def test_escaping_shape_rejected(self):
         grid, _ = make_grids(16)
-        too_wide = PhantomSpec(shapes=(Shape("rect", (0.0, 0.99), (-0.5, 0.5), 1.0),))
+        too_wide = (Shape("rect", (0.0, 0.99), (-0.5, 0.5), 1.0),)
         with pytest.raises(ValueError):
             rasterize_phantom(too_wide, grid)
-        too_tall = PhantomSpec(shapes=(Shape("half_ellipse", (0.3, 0.1), (0.8, 0.3), 1.0),))
+        too_tall = (Shape("half_ellipse", (0.3, 0.1), (0.8, 0.3), 1.0),)
         with pytest.raises(ValueError):
             rasterize_phantom(too_tall, grid)
 

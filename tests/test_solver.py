@@ -46,7 +46,7 @@ class TestEnergy:
         A = build_abel_matrix(grid)
         f = ProjectionField(grid, np.random.default_rng(0).normal(size=(8, 17)))
         lam = 5.0
-        want = 0.5 * lam * norm_l2_vh(f, grid.h) ** 2
+        want = 0.5 * lam * norm_l2_vh(f.values, grid.h) ** 2
         assert energy(RadialField.zeros(grid), A, f, lam) == pytest.approx(want, rel=1e-14)
 
     def test_hand_instance(self):
@@ -90,7 +90,7 @@ class TestSolveTV:
         A = build_abel_matrix(grid)
         params = SolverParams(lam=40.0, tau=0.2, gamma=0.2, max_iter=50)
         result = solve_tv(A, ProjectionField.zeros(grid), params)
-        assert norm_l2_vh(result.u_star, grid.h) <= 1e-8
+        assert norm_l2_vh(result.u_star.values, grid.h) <= 1e-8
         assert result.final_energy == 0.0
 
     def test_large_lambda_fits_consistent_data(self):
