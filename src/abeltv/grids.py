@@ -244,20 +244,37 @@ def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
 
 
 def _lattice_cells(grid: GridRZ, g3: GridXYZ) -> tuple[np.ndarray, np.ndarray]:
-    """Which (x, y) lattice points of ``g3`` lie inside r < 1, and the radial
-    cell floor(r/h), clipped to n_r - 1, of each; shape (2n+1, 2n+1) each.
-    Computed on s = a^2 + b^2 = (r/h)^2 for lattice indices (a, b), which is
-    exact: inside is s < n^2 and floor(sqrt(s)) is exact for s < 2^52."""
-    if g3.n != grid.n_r:
-        raise ValueError(f"grid mismatch: GridXYZ(n={g3.n}) vs GridRZ(n_r={grid.n_r})")
+    """``_radial_cells`` of every (x, y) lattice point of ``g3``; shape
+    (2n+1, 2n+1) each."""
+    _check_matched(grid, g3)
     n = grid.n_r
     a = np.arange(-n, n + 1, dtype=np.int64)
-    s = a[:, None] ** 2 + a[None, :] ** 2
+    return _radial_cells(a[:, None] ** 2 + a[None, :] ** 2, n)
+
+
+def _radial_cells(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether lattice points with s = a^2 + b^2 = (r/h)^2 lie inside r < 1,
+    and their radial cell floor(r/h), clipped to n - 1. Computed on the
+    integers s, which is exact: inside is s < n^2 and floor(sqrt(s)) is
+    exact for s < 2^52."""
     return s < n * n, np.minimum(np.sqrt(s).astype(np.int64), n - 1)
 
 
 def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
     """Number of (x, y) lattice points of ``g3`` that ``revolve`` reads from
-    each radial cell (length n_r)."""
-    inside, cell = _lattice_cells(grid, g3)
-    return np.bincount(cell[inside], minlength=grid.n_r)
+    each radial cell (length n_r). Counts the quadrant a >= 1, b >= 0 of
+    lattice indices: its four rotations by 90 degrees tile the lattice
+    without the origin and keep a^2 + b^2, so each count is 4 times the
+    quadrant's, plus the origin in cell 0."""
+    _check_matched(grid, g3)
+    n = grid.n_r
+    a = np.arange(n, dtype=np.int64)
+    inside, cell = _radial_cells(a[1:, None] ** 2 + a[None, :] ** 2, n)
+    counts = 4 * np.bincount(cell[inside], minlength=n)
+    counts[0] += 1
+    return counts
+
+
+def _check_matched(grid: GridRZ, g3: GridXYZ) -> None:
+    if g3.n != grid.n_r:
+        raise ValueError(f"grid mismatch: GridXYZ(n={g3.n}) vs GridRZ(n_r={grid.n_r})")

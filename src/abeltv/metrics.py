@@ -10,13 +10,18 @@ which takes a ``RadialField`` and reads h from its grid. Norm conventions:
 
 h * sum |D u| equals h^2 * sum |grad_h u| with grad_h = differences / h, so
 the TV seminorm of a unit-level indicator is its boundary length (perimeter
-for rectangles), up to O(h) from the one-sided boundary differences.
+for rectangles), up to O(h) from the one-sided boundary differences. The
+sum |D u| is written once, in ``_tv_sum``, which works in a caller's
+buffer; the solver's energy uses it too.
 
 ``revolve`` is a piecewise-constant radial lookup, so the revolved norm of
 an (r, z) field needs only the number c_j of (x, y) lattice points that
 land in each radial cell j:
 
     ||u||_{l2(U_h)}^2 = h^3 * sum_j c_j * sum_{k >= n} u[j, k]^2
+
+The counts come from one lattice quadrant, so ``bound_report`` allocates
+little more than ``tv_seminorm``'s pair of difference arrays.
 
 The diagnostic ratio checked by the experiments is
 
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridXYZ, ProjectionField, RadialField, _lattice_cell_counts
-from .operators import gradient
+from .operators import _gradient_into
 
 __all__ = [
     "norm_l2_uh",
@@ -64,8 +69,19 @@ def norm_l2_vh(u: np.ndarray, h: float) -> float:
 
 def tv_seminorm(u: RadialField) -> float:
     """h * sum of per-cell Euclidean magnitudes of the per-cell differences."""
-    g = gradient(u.values, h=1.0)
-    return u.grid.h * float(np.sqrt(g[0] ** 2 + g[1] ** 2).sum())
+    return u.grid.h * _tv_sum(u.values, np.empty((2,) + u.values.shape))
+
+
+def _tv_sum(u: np.ndarray, g: np.ndarray) -> float:
+    """sum |D u| of the (n_r, n_z) array ``u``, the per-cell differences
+    taken in ``g``, shape (2,) + u.shape, which must be C-contiguous and
+    is overwritten."""
+    _gradient_into(u, g)
+    np.square(g, out=g)
+    mag = g[0]
+    mag += g[1]
+    np.sqrt(mag, out=mag)
+    return float(mag.sum())
 
 
 def norm_linf(u: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from abeltv import (
     make_grids,
     revolve,
 )
-from abeltv.grids import _lattice_cell_counts
+from abeltv.grids import _lattice_cell_counts, _lattice_cells
 
 
 class TestMakeGrids:
@@ -126,10 +126,18 @@ class TestRevolve:
         counts = np.bincount(want[want > 0] - 1, minlength=n)
         assert_array_equal(_lattice_cell_counts(grid, g3), counts)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30, 64, 100, 128, 257, 1000])
+    def test_quadrant_counts_match_full_lattice(self, n):
+        grid, g3 = make_grids(n)
+        inside, cell = _lattice_cells(grid, g3)
+        assert_array_equal(_lattice_cell_counts(grid, g3), np.bincount(cell[inside], minlength=n))
+
     def test_grid_mismatch(self):
         grid, _ = make_grids(4)
         with pytest.raises(ValueError):
             revolve(RadialField.zeros(grid), GridXYZ(8))
+        with pytest.raises(ValueError):
+            _lattice_cell_counts(grid, GridXYZ(8))
 
     def test_linearity_exact(self):
         grid, g3 = make_grids(6)

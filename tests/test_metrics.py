@@ -186,3 +186,20 @@ class TestBoundReport:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_allocation_peak_is_a_few_fields(self):
+        # tv_seminorm's difference pair (two (n_r, n_z) arrays) is the
+        # largest allocation; the lattice counts take one quadrant of
+        # n_r^2 points, not the (2n_r + 1)^2 lattice
+        grid, g3 = make_grids(256)
+        shape = (256, 513)
+        rng = np.random.default_rng(8)
+        u_star, u0 = (RadialField(grid, rng.uniform(0, 1, shape)) for _ in range(2))
+        f_star, f, f0 = (ProjectionField(grid, rng.normal(size=shape)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            bound_report(u_star, u0, f_star, f, f0, g3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 256 * 513

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestSolveTV:
         assert r1.energy_trace == r2.energy_trace
         assert r1.final_energy == r2.final_energy
         assert r1.iterations_run == r2.iterations_run == 200
+
+    def test_final_energy_is_energy_of_result(self):
+        grid, A, u0, f0, f = noisy_instance(16)
+        result = solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=37, record_every=10))
+        assert result.final_energy == energy(result.u_star, A, f, 80.0)
+
+    def test_memory_peak_flat_in_iterations(self):
+        # eight (n_r, n_z) buffers, K and the finiteness mask; the loop,
+        # record points included, allocates nothing that outlives an
+        # iteration, so a longer run peaks no higher
+        grid, A, u0, f0, f = noisy_instance(256)
+        peaks = []
+        for n_iter in (10, 60):
+            params = SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=n_iter, record_every=5)
+            tracemalloc.start()
+            try:
+                solve_tv(A, f, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 10 * 8 * grid.n_r * grid.n_z
+        assert abs(peaks[1] - peaks[0]) < 4096
 
     def test_dual_feasible(self):
         grid, A, u0, f0, f = noisy_instance(16)
