@@ -8,6 +8,7 @@ invert the (noise-free) projection exactly by back-substitution.
 import numpy as np
 
 from abeltv import (
+    RadialField,
     apply_abel,
     build_abel_matrix,
     builtin_phantom,
@@ -42,8 +43,6 @@ print(f"back-substitution on clean data recovers the phantom: "
 # the projection of the unit disc is the chord length, a quick sanity check
 grid2, _ = make_grids(16)
 A2 = build_abel_matrix(grid2)
-from abeltv import RadialField  # noqa: E402
-
 disc = RadialField(grid2, np.ones((16, 33)))
 f_disc = apply_abel(A2, disc)
 print("unit-disc projection vs 2*sqrt(1-x^2): max defect "

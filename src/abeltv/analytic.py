@@ -13,14 +13,13 @@ integrand is evaluated by adaptive quadrature; callers may declare interior
 breakpoints of v so the integration splits there. Piecewise-constant
 profiles bypass quadrature entirely via exact closed forms: one closed
 form of J v, written for stacks of profiles, serves ``j_transform``,
-``j_norms`` and ``bound_ratios``. The ratio pass takes step profiles as
-``(edges, values)`` array rows, copies them into one buffer per piece
-count and evaluates each small batch in one pass, so a random suite costs
-one pass per batch instead of one per panel of every profile, while the
-memory held at once stays bounded. The random trials of ``verify_bounds``
-flow as such rows from the draw to the ratio pass, with no
-``PiecewiseConstantProfile`` per trial; the batch pass checks the
-profile invariants once per batch instead.
+``j_norms`` and ``bound_ratios``. ``random_step_profiles`` yields step
+profiles as ``(edges, values)`` array rows, and ``bound_ratios`` takes
+them, grouped by piece count, one pass per small batch: a random suite
+costs one pass per batch instead of one per panel of every profile, the
+memory held at once stays bounded, and no ``PiecewiseConstantProfile``
+is built per trial (the batch pass checks the profile invariants once
+per batch instead).
 
 Everything here is a pure function; safe to call concurrently.
 """
@@ -115,10 +114,6 @@ class PiecewiseConstantProfile:
         jump to 0 at the support boundary."""
         return float(_tv(self.values))
 
-    def jumps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interior jump locations b_1..b_{M-1} and sizes v_m - v_{m-1}."""
-        return self.breakpoints[1:], np.diff(self.values)
-
 
 # Invariants, norms and TV of step profiles, over the last axis of stacked
 # ``edges`` (..., P + 1) and ``values`` (..., P).
@@ -175,10 +170,7 @@ def j_transform(v, x: float, breakpoints: Sequence[float] | None = None) -> floa
     if x == 1.0:
         return 0.0
     knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b - x), math.sqrt(1.0 - x))
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += _quad(lambda t: v(x + t * t), lo, hi)
-    return 2.0 * total / _SQRT_PI
+    return 2.0 * _quad(lambda t: v(x + t * t), knots) / _SQRT_PI
 
 
 def abel_transform(u, x: float, breakpoints: Sequence[float] | None = None) -> float:
@@ -191,18 +183,19 @@ def abel_transform(u, x: float, breakpoints: Sequence[float] | None = None) -> f
     if x == 1.0:
         return 0.0
     knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b * b - x * x), math.sqrt(1.0 - x * x))
-    total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        total += _quad(lambda t: u(math.sqrt(x * x + t * t)), lo, hi)
-    return 2.0 * total
+    return 2.0 * _quad(lambda t: u(math.sqrt(x * x + t * t)), knots)
 
 
-def _quad(fn, lo: float, hi: float) -> float:
-    """Adaptive quadrature of fn over [lo, hi]. scipy.integrate is imported
-    here, on first use, so that importing the package does not load it."""
+def _quad(fn, knots: list[float]) -> float:
+    """Adaptive quadrature of fn, summed over the intervals between
+    consecutive knots from left to right. scipy.integrate is imported here,
+    on first use, so that importing the package does not load it."""
     from scipy.integrate import quad
 
-    return quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+    total = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        total += quad(fn, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+    return total
 
 
 def _j_steps(edges: np.ndarray, values: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -265,7 +258,6 @@ class IndicatorFamily:
     values: keys v_l1, v_l2, v_tv, g_l1, g_l2.
     """
 
-    k: float
     profile: PiecewiseConstantProfile
     g: Callable[[np.ndarray], np.ndarray]
     norms: dict
@@ -301,7 +293,7 @@ def indicator_family(k: float) -> IndicatorFamily:
         "g_l1": 4.0 / (3.0 * _SQRT_PI) * k**-1.5,
         "g_l2": math.sqrt(2.0 / math.pi) / k,
     }
-    return IndicatorFamily(k=k, profile=profile, g=g, norms=norms)
+    return IndicatorFamily(profile=profile, g=g, norms=norms)
 
 
 def stieltjes_inverse(g: PiecewiseConstantProfile, r: float) -> float:
@@ -324,28 +316,23 @@ def stieltjes_inverse(g: PiecewiseConstantProfile, r: float) -> float:
     r = float(r)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    locs, sizes = g.jumps()
+    locs, sizes = g.breakpoints[1:], np.diff(g.values)
     mask = locs > r
     if not mask.any():
         return 0.0
     return float(-np.sum(sizes[mask] / np.sqrt(locs[mask] - r)) / _SQRT_PI)
 
 
-def random_step_profiles(trials: int, seed: int) -> Iterator[PiecewiseConstantProfile]:
-    """Seeded stream of random compactly supported step profiles.
+def random_step_profiles(trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Seeded stream of random compactly supported step profiles, each an
+    ``(edges, values)`` row; ``PiecewiseConstantProfile(edges[:-1], values)``
+    is the same profile as an object.
 
     Each profile has a uniform piece count in {1.._MAX_PIECES}, jump
     locations uniform in (0, _BREAKPOINT_HIGH), values uniform in [0, 1] and
     a trailing zero piece, staying inside the hypotheses of the stability
-    bounds (bounded, support in [0, 1)).
+    bounds (bounded, support in [0, 1)). ``trials`` < 1 raises ValueError.
     """
-    for edges, values in _random_steps(trials, seed):
-        yield PiecewiseConstantProfile(edges[:-1], values)
-
-
-def _random_steps(trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The profiles of ``random_step_profiles`` as ``(edges, values)`` rows,
-    drawn from the same stream without building a profile per row."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -365,52 +352,45 @@ def _random_steps(trials: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarr
         yield edges, values
 
 
-def bound_ratios(profiles: Iterable[PiecewiseConstantProfile]) -> dict:
-    """Max observed left/right ratios of the four stability inequalities.
+def bound_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
+    """Max observed left/right ratios of the four stability inequalities
+    over step profiles given as ``(edges, values)`` rows, as
+    ``random_step_profiles`` yields them.
 
     Keys: l2_product, l1_product, young_l2, young_l1. Every value must be
     <= 1 for correct transforms; ratios above 1 indicate an implementation
     bug, not a failure of the (proven) bounds. Profiles with zero TV are
     skipped, and a product ratio whose transform norm is 0 is not formed.
-    """
-    return _worst_ratios((v.edges, v.values) for v in profiles)
-
-
-def _worst_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
-    """``bound_ratios`` of step profiles given as ``(edges, values)`` rows.
-
-    Rows are copied into one buffer per piece count, and each buffer is
-    evaluated in one vectorised pass once it holds ``_BATCH_ROOTS`` square
-    roots, which bounds the memory held at once.
+    A row whose ``edges`` is not one entry longer than its ``values``, or
+    that breaks the profile invariants, raises ValueError. Rows wait in one
+    group per piece count P; a group is evaluated in one vectorised pass
+    once it holds ``_BATCH_ROOTS`` square roots (P^2 * 96 per row), which
+    bounds the memory held at once.
     """
     worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
-    batches: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # piece count -> buffers
-    filled: dict[int, int] = {}  # piece count -> rows in its buffers
+    pending: dict[int, list] = {}  # piece count -> rows not yet evaluated
     for edges, values in rows:
         pieces = len(values)
-        if pieces not in batches:
-            size = -(-_BATCH_ROOTS // (pieces**2 * _GL_NODES.size))
-            batches[pieces] = np.empty((size, pieces + 1)), np.empty((size, pieces))
-            filled[pieces] = 0
-        batch_edges, batch_values = batches[pieces]
-        n = filled[pieces]
-        batch_edges[n], batch_values[n] = edges, values
-        n += 1
-        if n == len(batch_values):
-            _update_worst(worst, batch_edges, batch_values)
-            n = 0
-        filled[pieces] = n
-    for pieces, (batch_edges, batch_values) in batches.items():
-        if n := filled[pieces]:
-            _update_worst(worst, batch_edges[:n], batch_values[:n])
+        if len(edges) != pieces + 1:
+            raise ValueError(f"a row needs one more edge than values, got {len(edges)} and {pieces}")
+        group = pending.setdefault(pieces, [])
+        group.append((edges, values))
+        if len(group) * pieces**2 * _GL_NODES.size >= _BATCH_ROOTS:
+            _update_worst(worst, group)
+    for group in pending.values():
+        if group:
+            _update_worst(worst, group)
     return worst
 
 
-def _update_worst(worst: dict, edges: np.ndarray, values: np.ndarray) -> None:
-    """Raise ``worst``'s ratios to the largest over a batch of step
-    profiles with equal piece counts, stacked as ``edges`` (B, P + 1) and
-    ``values`` (B, P), held to the invariants of ``PiecewiseConstantProfile``.
-    """
+def _update_worst(worst: dict, group: list) -> None:
+    """Raise ``worst``'s ratios to the largest over ``group``, a list of
+    ``(edges, values)`` rows of P pieces each, stacked (B, P + 1) and (B, P)
+    and held to the invariants of ``PiecewiseConstantProfile``; ``group``
+    is emptied."""
+    edges = np.array([e for e, _ in group], dtype=float)
+    values = np.array([v for _, v in group], dtype=float)
+    group.clear()
     _check_steps(edges, values)
     tv = _tv(values)
     keep = tv != 0.0

@@ -94,7 +94,7 @@ class ExperimentConfig:
         runs = []
         for i, r in enumerate(top["runs"]):
             try:
-                r = _fields(r, _RUN_SCHEMA, {"record_every": 100})
+                r = _fields(r, _RUN_SCHEMA, {"record_every": SolverParams.record_every})
                 solver = SolverParams(r["lambda"], r["tau"], r["gamma"], r["max_iter"], r["record_every"])
                 runs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
             except ValueError as exc:
@@ -255,7 +255,7 @@ def _write_energy_trace(result: SolveResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def verify_bounds(seed: int = 20240, trials: int = 1000) -> dict[str, float]:
+def verify_bounds(seed: int, trials: int) -> dict[str, float]:
     """Run the analytic inequality and decay-rate suites; map each check's
     name to its ratio, in report order.
 
@@ -264,12 +264,9 @@ def verify_bounds(seed: int = 20240, trials: int = 1000) -> dict[str, float]:
     random step profiles; decay-slope checks report |slope - target| over
     the 0.02 tolerance; the sum-bound suboptimality witness reports the
     transformed norm against the 0.1 threshold while the family's TV stays
-    pinned at 1.
+    pinned at 1. ``trials`` < 1 raises ValueError.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-    worst = analytic._worst_ratios(analytic._random_steps(trials, seed))
+    worst = analytic.bound_ratios(analytic.random_step_profiles(trials, seed))
     ratios = {
         "l2_product_bound": worst["l2_product"],
         "l1_product_bound": worst["l1_product"],

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridXYZ, ProjectionField, RadialField, _lattice_cell_counts
-from .operators import _gradient_into
+from .operators import _cell_magnitude, _gradient_into
 
 __all__ = [
     "norm_l2_uh",
@@ -77,11 +77,7 @@ def _tv_sum(u: np.ndarray, g: np.ndarray) -> float:
     taken in ``g``, shape (2,) + u.shape, which must be C-contiguous and
     is overwritten."""
     _gradient_into(u, g)
-    np.square(g, out=g)
-    mag = g[0]
-    mag += g[1]
-    np.sqrt(mag, out=mag)
-    return float(mag.sum())
+    return float(_cell_magnitude(g, g).sum())
 
 
 def norm_linf(u: np.ndarray) -> float:

@@ -45,7 +45,6 @@ class AbelMatrix:
     """
 
     n: int
-    h: float
     entries: np.ndarray
 
     def __post_init__(self):
@@ -76,7 +75,7 @@ def build_abel_matrix(g: GridRZ) -> AbelMatrix:
     outer = np.sqrt(np.maximum(edges2[None, 1:] - x2, 0.0))
     inner = np.sqrt(np.maximum(edges2[None, :-1] - x2, 0.0))
     entries = 2.0 * np.triu(outer - inner)
-    return AbelMatrix(n=n, h=h, entries=entries)
+    return AbelMatrix(n=n, entries=entries)
 
 
 def apply_abel(A: AbelMatrix, u: RadialField) -> ProjectionField:
@@ -157,6 +156,17 @@ def _divergence_into(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> Non
     scratch[:, 0] = p2[:, 0]
     np.negative(p2[:, -2], out=scratch[:, -1])
     flat_out += flat_scratch
+
+
+def _cell_magnitude(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per-cell Euclidean magnitude sqrt(p[0]^2 + p[1]^2) of the stacked
+    pair ``p``, computed in ``scratch`` (p's shape, overwritten; it may be
+    ``p`` itself). Returns the view ``scratch[0]`` that holds it."""
+    np.square(p, out=scratch)
+    mag = scratch[0]
+    mag += scratch[1]
+    np.sqrt(mag, out=mag)
+    return mag
 
 
 def _flat(a: np.ndarray) -> np.ndarray:

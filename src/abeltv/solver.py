@@ -56,7 +56,7 @@ import numpy as np
 
 from .grids import DualField, ProjectionField, RadialField
 from .metrics import _tv_sum
-from .operators import AbelMatrix, _divergence_into, _gradient_into, apply_abel_transpose
+from .operators import AbelMatrix, _cell_magnitude, _divergence_into, _gradient_into, apply_abel_transpose
 
 # Not called here: the benchmark's layer trace (benchmarks/worker.py) wraps
 # these names on this module, so they stay importable from it.
@@ -129,10 +129,7 @@ def project_unit_ball(p: np.ndarray) -> np.ndarray:
 def _project_unit_ball_inplace(p: np.ndarray, scratch: np.ndarray) -> None:
     """``project_unit_ball`` applied to ``p`` itself; ``scratch`` has the
     shape of ``p`` and is overwritten."""
-    np.square(p, out=scratch)
-    mag = scratch[0]
-    mag += scratch[1]
-    np.sqrt(mag, out=mag)
+    mag = _cell_magnitude(p, scratch)
     np.maximum(mag, 1.0, out=mag)
     p /= mag
 

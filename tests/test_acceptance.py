@@ -152,7 +152,8 @@ def test_criterion_4_stability_bound_suite():
     t0 = time.perf_counter()
     violations = 0
     worst_l2 = worst_l1 = 0.0
-    for v in random_step_profiles(1000, seed=20240):
+    for edges, values in random_step_profiles(1000, seed=20240):
+        v = PiecewiseConstantProfile(edges[:-1], values)
         tv = v.tv()
         if tv == 0.0:
             continue

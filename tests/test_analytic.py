@@ -26,10 +26,9 @@ from abeltv import (
     random_step_profiles,
     stieltjes_inverse,
 )
-from abeltv.analytic import _random_steps, _worst_ratios
 
 SQRT_PI = math.sqrt(math.pi)
-# the first three random_step_profiles(.., seed=9), as (breakpoints, values)
+# the first three random_step_profiles(.., seed=9), as (edges[:-1], values)
 SEED_9_PROFILES = [
     (
         [0.0, 0.2724763486331776, 0.5729907425489837, 0.6802708981233869, 0.7386573787741698],
@@ -374,10 +373,10 @@ class TestStabilityBounds:
             *(step_profile(rng, 2) for _ in range(3)),  # one nonzero piece
             *(step_profile(rng, 9) for _ in range(43)),  # eight: full batches and a rest
             profile([0.0], [0.0]),
-            *random_step_profiles(60, seed=5),
+            *(profile(edges[:-1], values) for edges, values in random_step_profiles(60, seed=5)),
         ]
         rng.shuffle(profiles)
-        got = bound_ratios(profiles)
+        got = bound_ratios((v.edges, v.values) for v in profiles)
         want = bound_ratios_reference(profiles)
         assert got.keys() == want.keys()
         for key in want:
@@ -387,7 +386,8 @@ class TestStabilityBounds:
     def test_ratios_of_no_profiles_or_only_zero_tv_are_zero(self):
         zeros = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
         assert bound_ratios(iter(())) == zeros
-        assert bound_ratios([profile([0.0], [0.0]), profile([0.0, 0.3], [0.0, 0.0])]) == zeros
+        rows = [(np.array([0.0, 1.0]), np.array([0.0])), (np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.0]))]
+        assert bound_ratios(rows) == zeros
 
     def test_suite_memory_stays_bounded(self):
         # Profiles are evaluated in small batches, never a whole piece-count
@@ -416,26 +416,35 @@ class TestStabilityBounds:
         assert 0.0 < ratios[0] < 1.0
 
     def test_generator_respects_hypotheses(self):
-        for v in random_step_profiles(50, seed=1):
-            assert v.values[-1] == 0.0
-            assert v.breakpoints[-1] < 1.0
-            assert (v.values >= 0.0).all() and (v.values <= 1.0).all()
-            assert 2 <= len(v.values) <= 9
+        for edges, values in random_step_profiles(50, seed=1):
+            assert values[-1] == 0.0
+            assert edges[-2] < 1.0
+            assert (values >= 0.0).all() and (values <= 1.0).all()
+            assert 2 <= len(values) <= 9
 
     def test_generator_seeded_and_validated(self):
-        # the rows verify_bounds draws are random_step_profiles' arrays
-        for seed in (9, 20240):
-            rows = list(_random_steps(1000, seed))
-            profiles = list(random_step_profiles(1000, seed))
-            assert len(rows) == len(profiles) == 1000
-            for (edges, values), v in zip(rows, profiles):
-                assert np.array_equal(edges, v.edges) and np.array_equal(values, v.values)
-        # and the stream itself is pinned
-        for v, (bps, vals) in zip(random_step_profiles(3, seed=9), SEED_9_PROFILES, strict=True):
-            assert v.breakpoints.tolist() == bps
-            assert v.values.tolist() == vals
+        # the stream is pinned
+        for (edges, values), (bps, vals) in zip(random_step_profiles(3, seed=9), SEED_9_PROFILES, strict=True):
+            assert edges[:-1].tolist() == bps
+            assert values.tolist() == vals
         with pytest.raises(ValueError):
             list(random_step_profiles(0, seed=1))
+
+    def test_stream_yields_array_rows(self):
+        # each trial is an (edges, values) pair of arrays, not a profile object
+        for row, (_, vals) in zip(random_step_profiles(3, seed=9), SEED_9_PROFILES, strict=True):
+            edges, values = row
+            assert type(edges) is np.ndarray and type(values) is np.ndarray
+            assert edges[0] == 0.0 and edges[-1] == 1.0
+            assert len(edges) == len(values) + 1
+            assert values.tolist() == vals
+
+    @pytest.mark.parametrize("edges", [[0.0, 0.5, 1.0], [0.0, 0.2, 0.5, 0.7, 1.0]])
+    def test_ratio_pass_rejects_mismatched_row(self, edges):
+        values = np.array([0.3, 1.0, 0.0])
+        rows = [(np.array([0.0, 0.5, 0.8, 1.0]), values), (np.array(edges), values)]
+        with pytest.raises(ValueError, match="one more edge than values"):
+            bound_ratios(rows)
 
     @pytest.mark.parametrize(
         "array, index, value",
@@ -452,7 +461,7 @@ class TestStabilityBounds:
             "edges": np.tile([0.0, 0.2, 0.5, 0.7, 1.0], (3, 1)),
             "values": np.tile([0.3, 1.0, 0.6, 0.0], (3, 1)),
         }
-        assert _worst_ratios(zip(rows["edges"], rows["values"]))["young_l2"] > 0.0
+        assert bound_ratios(zip(rows["edges"], rows["values"]))["young_l2"] > 0.0
         rows[array][index] = value
         with pytest.raises(ValueError, match="edges rising strictly from 0 to 1 and finite values"):
-            _worst_ratios(zip(rows["edges"], rows["values"]))
+            bound_ratios(zip(rows["edges"], rows["values"]))

@@ -390,6 +390,22 @@ class TestVerifyBounds:
         with pytest.raises(ValueError):
             verify_bounds(seed=1, trials=0)
 
+    def test_trials_drawn_through_public_stream(self, monkeypatch):
+        # verify_bounds draws its trials from analytic.random_step_profiles,
+        # the stream the demos and tests use, and from nothing else
+        drawn = 0
+        stream = experiments.analytic.random_step_profiles
+
+        def counting(trials, seed):
+            nonlocal drawn
+            for row in stream(trials, seed):
+                drawn += 1
+                yield row
+
+        monkeypatch.setattr(experiments.analytic, "random_step_profiles", counting)
+        verify_bounds(seed=20240, trials=50)
+        assert drawn == 50
+
     def test_random_trials_build_no_profiles(self, monkeypatch):
         # The trials flow as arrays from the draw to the ratio pass: only the
         # indicator-family members become profiles (the per-profile path
