@@ -18,8 +18,8 @@ profiles as ``(edges, values)`` array rows, and ``bound_ratios`` takes
 them, grouped by piece count, one pass per small batch: a random suite
 costs one pass per batch instead of one per panel of every profile, the
 memory held at once stays bounded, and no ``PiecewiseConstantProfile``
-is built per trial (the batch pass checks the profile invariants once
-per batch instead).
+is built per trial (the batch pass takes a batch's piece widths once, and
+checks the profile invariants and forms the norms of v from them).
 
 Everything here is a pure function; safe to call concurrently.
 """
@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .grids import _freeze
 
 __all__ = [
     "PiecewiseConstantProfile",
@@ -85,14 +87,11 @@ class PiecewiseConstantProfile:
     edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bps = np.array(self.breakpoints, dtype=float)
-        vals = np.array(self.values, dtype=float)
+        bps, vals = _freeze(self.breakpoints), _freeze(self.values)
         if bps.ndim != 1 or vals.shape != bps.shape or len(bps) == 0:
             raise ValueError("breakpoints and values must be matching 1-D arrays")
-        edges = np.append(bps, 1.0)
-        _check_steps(edges, vals)
-        for arr in (bps, vals, edges):
-            arr.setflags(write=False)
+        edges = _freeze(np.append(bps, 1.0))
+        _check_steps(edges, np.diff(edges), vals)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "edges", edges)
@@ -104,10 +103,10 @@ class PiecewiseConstantProfile:
         return out if out.ndim else float(out)
 
     def norm_l1(self) -> float:
-        return float(_norm_l1(self.edges, self.values))
+        return float(_norm_l1(np.diff(self.edges), self.values))
 
     def norm_l2(self) -> float:
-        return float(_norm_l2(self.edges, self.values))
+        return float(_norm_l2(np.diff(self.edges), self.values))
 
     def tv(self) -> float:
         """Total variation on [0, infinity): interior jumps plus the closing
@@ -116,27 +115,27 @@ class PiecewiseConstantProfile:
 
 
 # Invariants, norms and TV of step profiles, over the last axis of stacked
-# ``edges`` (..., P + 1) and ``values`` (..., P).
+# ``edges`` (..., P + 1), ``widths`` = np.diff(edges) and ``values`` (..., P).
 
 
-def _check_steps(edges: np.ndarray, values: np.ndarray) -> None:
+def _check_steps(edges: np.ndarray, widths: np.ndarray, values: np.ndarray) -> None:
     """Raise ValueError unless the edges rise strictly from 0 to 1 and the
     values are finite."""
     if not (
         (edges[..., 0] == 0.0).all()
         and (edges[..., -1] == 1.0).all()
-        and (np.diff(edges, axis=-1) > 0.0).all()
+        and (widths > 0.0).all()
         and np.isfinite(values).all()
     ):
         raise ValueError("step profiles need edges rising strictly from 0 to 1 and finite values")
 
 
-def _norm_l1(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(values) * np.diff(edges, axis=-1), axis=-1)
+def _norm_l1(widths: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(values) * widths, axis=-1)
 
 
-def _norm_l2(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(values**2 * np.diff(edges, axis=-1), axis=-1))
+def _norm_l2(widths: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(values**2 * widths, axis=-1))
 
 
 def _tv(values: np.ndarray) -> np.ndarray:
@@ -391,11 +390,12 @@ def _update_worst(worst: dict, group: list) -> None:
     edges = np.array([e for e, _ in group], dtype=float)
     values = np.array([v for _, v in group], dtype=float)
     group.clear()
-    _check_steps(edges, values)
+    widths = np.diff(edges, axis=-1)
+    _check_steps(edges, widths, values)
     tv = _tv(values)
     keep = tv != 0.0
-    edges, values, tv = edges[keep], values[keep], tv[keep]
-    v_l1, v_l2 = _norm_l1(edges, values), _norm_l2(edges, values)
+    edges, widths, values, tv = edges[keep], widths[keep], values[keep], tv[keep]
+    v_l1, v_l2 = _norm_l1(widths, values), _norm_l2(widths, values)
     g_l1, g_l2 = _j_norms_stacked(edges, values)
     l2 = g_l2 > 0.0
     l1 = g_l1 > 0.0

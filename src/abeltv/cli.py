@@ -28,15 +28,10 @@ def _cmd_run(args, error) -> int:
     except (OSError, ValueError) as exc:
         error(f"--config {args.config}: {exc}")
     outcomes = run_experiment(cfg)
-    for out, run in zip(outcomes, cfg.runs):
-        if out.status == "ok":
-            r = out.report
-            print(
-                f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} "
-                f"err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} solve={out.solve_s:.3f}s status=ok"
-            )
-        else:
-            print(f"run {out.index}: sigma2_frac={run.noise.variance_fraction:g} status={out.status}")
+    for i, (out, run) in enumerate(zip(outcomes, cfg.runs)):
+        r = out.report  # None for a failed run
+        detail = f" err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} solve={out.solve_s:.3f}s" if r else ""
+        print(f"run {i}: sigma2_frac={run.noise.variance_fraction:g}{detail} status={out.status}")
     print(f"results written to {cfg.output_dir / 'results.csv'}")
     return 0 if all(o.status == "ok" for o in outcomes) else 1
 

@@ -190,7 +190,6 @@ _RUN_SCHEMA = {
 
 @dataclass(frozen=True)
 class RunOutcome:
-    index: int
     status: str  # "ok" or "failed:<ErrorClass>"
     report: BoundReport | None
     energy_final: float
@@ -199,7 +198,8 @@ class RunOutcome:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
-    """Execute every run in the config; see module docstring for outputs.
+    """Execute every run in the config and return their outcomes in config
+    order; see module docstring for outputs.
 
     Any exception raised in a run marks that run ``failed:<ErrorClass>`` in
     results.csv and the returned outcomes; the remaining runs continue.
@@ -219,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
         try:
             outcome = _run(i, run, A, u0, f0, g3, out_dir)
         except Exception as exc:
-            outcome = RunOutcome(i, f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
+            outcome = RunOutcome(f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
         outcomes.append(outcome)
         rows.append(_results_row(run.noise.variance_fraction, outcome))
         tmp = out_dir / "results.csv.tmp"
@@ -235,11 +235,9 @@ def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path) -> RunOutcome:
     f_star = apply_abel(A, result.u_star)
     report = bound_report(result.u_star, u0, f_star, f, f0, g3)
     _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
-    u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
-    result.u_star.to_csv(out_dir / f"run{i:02d}_ustar.csv")
-    f.to_csv(out_dir / f"run{i:02d}_f.csv")
-    f_star.to_csv(out_dir / f"run{i:02d}_fstar.csv")
-    return RunOutcome(i, "ok", report, result.final_energy, result.iterations_run, result.wall_time)
+    for name, field in (("u0", u0), ("ustar", result.u_star), ("f", f), ("fstar", f_star)):
+        field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
+    return RunOutcome("ok", report, result.final_energy, result.iterations_run, result.wall_time)
 
 
 def _results_row(variance_fraction: float, out: RunOutcome) -> str:

@@ -14,13 +14,17 @@ All computations live on the unit cylinder. Two grids appear:
   the same spacing ``h = 1/n``.
 
 Field containers are immutable after construction and safe to share across
-threads. They round-trip bit-exactly through the CSV serializer below
-(shortest round-trip decimal formatting); CSV is the only field format.
+threads. They round-trip bit-exactly through CSV, the only field format:
+``to_csv`` writes each value's shortest round-trip decimal form, and
+``from_csv`` reads the rows with ``np.loadtxt``, whose C parser rounds
+correctly like ``float``. ``from_csv`` raises ValueError naming the file
+for a header that lacks, garbles or contradicts n_r, n_z or h, no rows, a
+ragged row, a token that is not a finite number, or a wrong row count.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +162,6 @@ class _Field2D:
         return cls(grid, np.zeros(cls._shape(grid)))
 
     # -- serialization ----------------------------------------------------
-    # repr(float) is Python's shortest round-trip decimal form; float() parses
-    # it back to the identical bits, which is what the bit-exact contract needs.
 
     def to_csv(self, path) -> None:
         """Write ``# grid ...`` header plus one comma-separated line per row."""
@@ -172,22 +174,25 @@ class _Field2D:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("# grid "):
-                raise ValueError(f"{path}: missing '# grid' header")
-            fields = dict(tok.split("=") for tok in header[len("# grid ") :].split())
-            grid = GridRZ(int(fields["n_r"]))
-            if int(fields["n_z"]) != grid.n_z or float(fields["h"]) != grid.h:
-                raise ValueError(f"{path}: header {header.strip()!r} disagrees with n_r")
-            rows = np.array(
-                [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-            )
-        want = cls._shape(grid)
-        expected = math.prod(want[:-1])
-        if rows.shape != (expected, grid.n_z):
-            raise ValueError(f"{path}: expected {expected}x{grid.n_z} values, got {rows.shape}")
-        return cls(grid, rows.reshape(want))
+        """Read a field that ``to_csv`` wrote; the module docstring lists the
+        errors."""
+        try:
+            with open(path) as fh:
+                header = fh.readline()
+                lines = [line for line in fh if line.strip()]
+            fields = re.match(r"# grid n_r=(\S+) n_z=(\S+) h=(\S+)$", header)
+            if fields is None:
+                raise ValueError(f"header {header.strip()!r} is not '# grid n_r=<n_r> n_z=<n_z> h=<h>'")
+            grid = GridRZ(int(fields[1]))
+            if int(fields[2]) != grid.n_z or float(fields[3]) != grid.h:
+                raise ValueError(f"header {header.strip()!r} disagrees with n_r")
+            if not lines:  # checked here: loadtxt would warn, then return no rows
+                raise ValueError("no rows after the header")
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            # the rows run over the leading axes too; the field checks the shape
+            return cls(grid, rows.reshape(cls._lead + (-1, rows.shape[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class RadialField(_Field2D):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField
+from .grids import GridRZ, ProjectionField, RadialField, _freeze
 
 __all__ = [
     "AbelMatrix",
@@ -40,18 +40,17 @@ class AbelMatrix:
     """Dense upper-triangular onion-peeling discretization, size n x n.
 
     Row i holds the chord-length weights of the radial cells crossed by the
-    line of sight at x_i = (i-1)h; row sums telescope to the full chord
-    length 2*sqrt(1 - x_i^2). Stored dense.
+    line of sight at x_i = ``GridRZ.x[i]``; row sums telescope to the full
+    chord length 2*sqrt(1 - x_i^2). Stored dense.
     """
 
     n: int
     entries: np.ndarray
 
     def __post_init__(self):
-        ent = np.array(self.entries, dtype=float)
+        ent = _freeze(self.entries)
         if ent.shape != (self.n, self.n):
             raise ValueError(f"entries shape {ent.shape} != ({self.n}, {self.n})")
-        ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
     def row_sums(self) -> np.ndarray:
@@ -61,21 +60,20 @@ class AbelMatrix:
 def build_abel_matrix(g: GridRZ) -> AbelMatrix:
     """Onion-peeling matrix for the grid's cell/abscissa convention.
 
-    Entry (i, j), 1-based, is the length of the chord at height x_i = (i-1)h
-    crossing radial cell j = [(j-1)h, jh], doubled for the two symmetric
-    halves:
+    Entry (i, j) is the length of the chord at height x_i = ``g.x[i]``
+    crossing radial cell j, from e_j to e_(j+1) (``g.r_edges``), doubled
+    for the two symmetric halves:
 
-        2 * (sqrt((jh)^2 - x_i^2) - sqrt(((j-1)h)^2 - x_i^2))   for j >= i
+        2 * (sqrt(e_(j+1)^2 - x_i^2) - sqrt(e_j^2 - x_i^2))   for j >= i
 
     and 0 below the diagonal.
     """
-    n, h = g.n_r, g.h
-    x2 = (np.arange(n)[:, None] * h) ** 2
-    edges2 = (np.arange(n + 1) * h) ** 2
+    x2 = g.x[:, None] ** 2
+    edges2 = g.r_edges**2
     outer = np.sqrt(np.maximum(edges2[None, 1:] - x2, 0.0))
     inner = np.sqrt(np.maximum(edges2[None, :-1] - x2, 0.0))
     entries = 2.0 * np.triu(outer - inner)
-    return AbelMatrix(n=n, entries=entries)
+    return AbelMatrix(n=g.n_r, entries=entries)
 
 
 def apply_abel(A: AbelMatrix, u: RadialField) -> ProjectionField:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +167,13 @@ class TestRevolve:
         assert abs(cart - cyl) / cyl <= 5.0 / n_r
 
 
+def _replace_token(lines, token):
+    """The CSV lines with the fourth token of the second data row replaced."""
+    row = lines[2].split(",")
+    row[3] = token
+    return [*lines[:2], ",".join(row), *lines[3:]]
+
+
 class TestSerialization:
     @pytest.fixture
     def field(self):
@@ -213,3 +222,44 @@ class TestSerialization:
         path.write_text("\n".join([header, *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match="disagrees with n_r"):
             RadialField.from_csv(path)
+
+    def test_csv_roundtrip_extreme_values_bit_exact(self, tmp_path):
+        vals = np.zeros((2, 5))
+        vals[0] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16]
+        vals[1] = -vals[0]
+        u = RadialField(GridRZ(2), vals)
+        path = tmp_path / "u.csv"
+        u.to_csv(path)
+        assert RadialField.from_csv(path).values.tobytes() == u.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, phrase",
+        [
+            (lambda lines: ["# grid n_z=11 h=0.2", *lines[1:]], "is not '# grid"),
+            (lambda lines: ["# grid n_r=5 n_z=11 h", *lines[1:]], "is not '# grid"),
+            (lambda lines: ["# grid n_r=five n_z=11 h=0.2", *lines[1:]], "five"),
+            (lambda lines: ["# grid n_r=5 n_z=11 h=0.2x", *lines[1:]], "0.2x"),
+            (lambda lines: lines[:1], "no rows"),
+            (lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]], ""),
+            (lambda lines: _replace_token(lines, "abc"), "abc"),
+            (lambda lines: _replace_token(lines, "nan"), "finite"),
+        ],
+        ids=["lacks-n_r", "garbled-h", "non-integer-n_r", "non-numeric-h", "no-rows", "ragged-row",
+             "non-numeric-token", "non-finite-token"],
+    )
+    def test_malformed_csv_rejected_naming_path(self, field, tmp_path, edit, phrase):
+        path = tmp_path / "u.csv"
+        field.to_csv(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning from the reader leaks
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(phrase)}"):
+                RadialField.from_csv(path)
+
+    @pytest.mark.parametrize("cls, lead", [(RadialField, ()), (DualField, (2,))])
+    def test_csv_wrong_row_count_rejected_naming_path(self, tmp_path, cls, lead):
+        path = tmp_path / "v.csv"
+        cls(GridRZ(3), np.ones(lead + (3, 7))).to_csv(path)
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            cls.from_csv(path)

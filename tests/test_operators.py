@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from abeltv import (
+    GridRZ,
     ProjectionField,
     RadialField,
     abel_transform,
@@ -26,6 +28,19 @@ def _field(grid, column):
 
 
 class TestAbelMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 12, 64, 100, 128, 256])
+    def test_entries_are_chord_formula_bit_for_bit(self, n):
+        # entry (i, j), 0-based, for cell [jh, (j+1)h] at height x_i = ih
+        h = 1.0 / n
+        want = np.zeros((n, n))
+        for i in range(n):
+            x2 = (i * h) * (i * h)
+            for j in range(i, n):
+                outer, inner = (j + 1) * h, j * h
+                chord = math.sqrt(max(outer * outer - x2, 0.0)) - math.sqrt(max(inner * inner - x2, 0.0))
+                want[i, j] = 2.0 * chord
+        assert build_abel_matrix(GridRZ(n)).entries.tobytes() == want.tobytes()
+
     def test_two_cell_entries(self):
         grid, _ = make_grids(2)
         A = build_abel_matrix(grid)
