@@ -70,7 +70,7 @@ YOUNG_L2 = math.sqrt(2.0 / math.pi)
 YOUNG_L1 = 4.0 / (3.0 * _SQRT_PI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseConstantProfile:
     """Step function on [0, 1): value ``values[m]`` on [b_m, b_{m+1}).
 
@@ -84,7 +84,7 @@ class PiecewiseConstantProfile:
     breakpoints: np.ndarray
     values: np.ndarray
     # piece edges including the terminal 1.0 (length pieces + 1)
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         bps, vals = _freeze(self.breakpoints), _freeze(self.values)

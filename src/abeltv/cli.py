@@ -5,9 +5,9 @@
     abeltv phantom --name nested-annuli --out u0.csv [--n 128]
 
 Exit code 0 iff every run succeeds / every bound check passes, and 2 for
-a usage error: a bad argument, or a config file that cannot be read or
-parsed (nothing is written then). Output is CSV only; plotting belongs to
-downstream tools.
+a usage error: a bad argument, a config file that cannot be read or
+parsed, or an output_dir that cannot be created (nothing is computed
+then). Output is CSV only; plotting belongs to downstream tools.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ def _cmd_run(args, error) -> int:
         cfg = ExperimentConfig.from_json_file(args.config)
     except (OSError, ValueError) as exc:
         error(f"--config {args.config}: {exc}")
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        error(f"--config {args.config}: output_dir: {exc}")
     outcomes = run_experiment(cfg)
     for i, (out, run) in enumerate(zip(outcomes, cfg.runs)):
         r = out.report  # None for a failed run

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .grids import GridRZ, make_grids
+from .grids import GridRZ, _integer, make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, add_noise, builtin_phantom, rasterize_phantom
@@ -131,13 +131,6 @@ def _json(what: str, kind, convert=None):
 
 
 _number = _json("a number", (int, float), float)
-
-
-def _integer(value, key: str) -> int:
-    """A JSON integer, or a float with an integral value; never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    return _json("an integer", int)(value, key)
 
 
 def _grid_n(value, key: str) -> int:
@@ -272,12 +265,12 @@ def verify_bounds(seed: int, trials: int) -> dict[str, float]:
         "young_l1": worst["young_l1"],
     }
 
-    # every indicator member the checks below use, with its (L1, L2) norms
-    # of J v_k, built and evaluated once
+    # every indicator member the checks below use, built once; the slope
+    # members' (L1, L2) norms of J v_k, evaluated once
     members = {k: analytic.indicator_family(k).profile for k in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)}
-    g_norms = {k: analytic.j_norms(v) for k, v in members.items()}
-
     ks = (1.0, 2.0, 4.0, 8.0, 16.0)
+    g_norms = {k: analytic.j_norms(members[k]) for k in ks}
+
     slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
     slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
     slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
@@ -292,8 +285,6 @@ def verify_bounds(seed: int, trials: int) -> dict[str, float]:
 
     # Product-bound tightness on the indicator family: the ratio is a
     # k-independent constant strictly below 1.
-    ratios["indicator_l2_ratio (< 1)"] = max(
-        members[k].norm_l2() / (analytic.C_L2_2D * math.sqrt(members[k].tv()) * math.sqrt(g_norms[k][1]))
-        for k in (4.0, 16.0, 64.0, 256.0)
-    )
+    tight = [(members[k].edges, members[k].values) for k in (4.0, 16.0, 64.0, 256.0)]
+    ratios["indicator_l2_ratio (< 1)"] = analytic.bound_ratios(tight)["l2_product"]
     return ratios

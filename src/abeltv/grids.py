@@ -9,12 +9,17 @@ All computations live on the unit cylinder. Two grids appear:
   ``[(j-1)h, jh]`` and measurement abscissae sit at the left cell edges,
   ``x_i = (i-1)h``. The axial axis covers [-1, 1] with the same spacing,
   giving ``n_z = 2*n_r + 1`` samples.
-* ``GridXYZ`` -- the revolved Cartesian grid: ``x, y`` sample [-1, 1]
-  (``2n+1`` points each) and ``z`` samples [0, 1] (``n+1`` points), all with
-  the same spacing ``h = 1/n``.
+* ``GridXYZ`` -- the revolved Cartesian grid, its resolution ``n`` alone:
+  ``revolve`` samples x, y in [-1, 1] and z in [0, 1] at spacing ``1/n``,
+  an array of shape (2n+1, 2n+1, n+1).
+
+Counts (the grids' n_r and n, the solver's iteration counts, the noise
+seed) follow one rule, ``_integer``: an int or an integral float, stored
+as an int.
 
 Field containers are immutable after construction and safe to share across
-threads. They round-trip bit-exactly through CSV, the only field format:
+threads; like every record holding arrays, they compare by identity and
+hash. They round-trip bit-exactly through CSV, the only field format:
 ``to_csv`` writes each value's shortest round-trip decimal form, and
 ``from_csv`` reads the rows with ``np.loadtxt``, whose C parser rounds
 correctly like ``float``. ``from_csv`` raises ValueError naming the file
@@ -46,6 +51,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integer(value, name: str) -> int:
+    """An int, or a float with an integral value, as an int; a bool or
+    anything else raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridRZ:
     """Cylindrical (r, z) grid of ``n_r`` radial cells; n_z and h derive from it."""
@@ -53,8 +66,10 @@ class GridRZ:
     n_r: int
 
     def __post_init__(self):
-        if self.n_r < 2:
-            raise ValueError(f"n_r must be >= 2, got {self.n_r}")
+        n_r = _integer(self.n_r, "n_r")
+        if n_r < 2:
+            raise ValueError(f"n_r must be >= 2, got {n_r}")
+        object.__setattr__(self, "n_r", n_r)
 
     @property
     def n_z(self) -> int:
@@ -92,25 +107,10 @@ class GridXYZ:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.arange(-self.n, self.n + 1) * self.h
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.h
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        m = 2 * self.n + 1
-        return (m, m, self.n + 1)
+        n = _integer(self.n, "n")
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        object.__setattr__(self, "n", n)
 
 
 def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
@@ -129,7 +129,7 @@ def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
     return GridRZ(n_r), GridXYZ(n_r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Field2D:
     """Shared machinery for field containers on a GridRZ.
 
@@ -143,23 +143,14 @@ class _Field2D:
 
     _lead = ()
 
-    @classmethod
-    def _shape(cls, grid: GridRZ) -> tuple[int, ...]:
-        return cls._lead + (grid.n_r, grid.n_z)
-
     def __post_init__(self):
         vals = _freeze(self.values)
-        if vals.shape != self._shape(self.grid):
-            raise ValueError(
-                f"values shape {vals.shape} does not match {self._shape(self.grid)}"
-            )
+        shape = self._lead + (self.grid.n_r, self.grid.n_z)
+        if vals.shape != shape:
+            raise ValueError(f"values shape {vals.shape} does not match {shape}")
         if not np.isfinite(vals).all():
             raise ValueError("field values must all be finite")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def zeros(cls, grid: GridRZ):
-        return cls(grid, np.zeros(cls._shape(grid)))
 
     # -- serialization ----------------------------------------------------
 

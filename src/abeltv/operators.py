@@ -8,13 +8,14 @@ fields and the matrix upper triangular with positive diagonal.
 zero-row/zero-column boundary convention that makes them exact negative
 adjoints of each other: <grad u, p> = -<u, div p> for every u, p.
 
-The public operations are pure functions of immutable inputs. The stencils
-of ``gradient`` and ``divergence`` are written once, in private bodies that
-fill a caller's buffer; the public functions allocate and call them, and
-the solver calls them directly on buffers it allocates once per solve.
-Every full-array pass of a body runs over contiguous memory, so the bodies
-require C-contiguous output buffers and raise on any other layout rather
-than write into a copy; inputs of any layout are accepted.
+The public operations are pure functions of immutable inputs; ``AbelMatrix``
+is its entries alone and, like the fields, compares by identity. The
+stencils of ``gradient`` and ``divergence`` are written once, in private
+bodies that fill a caller's buffer; the public functions allocate and call
+them, and the solver calls them directly on buffers it allocates once per
+solve. Every full-array pass of a body runs over contiguous memory, so the
+bodies require C-contiguous output buffers and raise on any other layout
+rather than write into a copy; inputs of any layout are accepted.
 """
 
 from __future__ import annotations
@@ -35,23 +36,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbelMatrix:
     """Dense upper-triangular onion-peeling discretization, size n x n.
 
     Row i holds the chord-length weights of the radial cells crossed by the
     line of sight at x_i = ``GridRZ.x[i]``; row sums telescope to the full
-    chord length 2*sqrt(1 - x_i^2). Stored dense.
+    chord length 2*sqrt(1 - x_i^2). Stored dense and square.
     """
 
-    n: int
     entries: np.ndarray
 
     def __post_init__(self):
         ent = _freeze(self.entries)
-        if ent.shape != (self.n, self.n):
-            raise ValueError(f"entries shape {ent.shape} != ({self.n}, {self.n})")
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+            raise ValueError(f"entries shape {ent.shape} is not square")
         object.__setattr__(self, "entries", ent)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
@@ -73,7 +77,7 @@ def build_abel_matrix(g: GridRZ) -> AbelMatrix:
     outer = np.sqrt(np.maximum(edges2[None, 1:] - x2, 0.0))
     inner = np.sqrt(np.maximum(edges2[None, :-1] - x2, 0.0))
     entries = 2.0 * np.triu(outer - inner)
-    return AbelMatrix(n=g.n_r, entries=entries)
+    return AbelMatrix(entries)
 
 
 def apply_abel(A: AbelMatrix, u: RadialField) -> ProjectionField:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField
+from .grids import GridRZ, ProjectionField, RadialField, _integer
 
 __all__ = [
     "Shape",
@@ -92,8 +92,10 @@ class NoiseSpec:
         vf = self.variance_fraction
         if not (math.isfinite(vf) and vf >= 0):
             raise ValueError(f"variance_fraction must be finite and >= 0, got {vf}")
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        seed = _integer(self.seed, "seed")
+        if not 0 <= seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DualField, ProjectionField, RadialField
+from .grids import DualField, ProjectionField, RadialField, _integer
 from .metrics import _tv_sum
 from .operators import AbelMatrix, _cell_magnitude, _divergence_into, _gradient_into, apply_abel_transpose
 
@@ -105,8 +105,11 @@ class SolverParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if 8.0 * self.tau * self.gamma >= 1.0:
             raise ValueError(f"8*tau*gamma must be < 1, got tau={self.tau}, gamma={self.gamma}")
-        if self.max_iter < 1 or self.record_every < 1:
-            raise ValueError("max_iter and record_every must be >= 1")
+        for name in ("max_iter", "record_every"):
+            count = _integer(getattr(self, name), name)
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+            object.__setattr__(self, name, count)
 
 
 @dataclass(frozen=True)

@@ -130,11 +130,12 @@ def test_user_paths_load_no_scipy(tmp_path):
     }))
     code = "\n".join([
         "import sys",
+        "import numpy as np",
         "import abeltv, abeltv.cli",
         f"assert abeltv.cli.main(['run', '--config', {str(cfg)!r}]) == 0",
         "assert abeltv.cli.main(['verify-bounds', '--trials', '5']) == 0",
         "grid, _ = abeltv.make_grids(8)",
-        "abeltv.solve_onion_peeling(abeltv.build_abel_matrix(grid), abeltv.ProjectionField.zeros(grid))",
+        "abeltv.solve_onion_peeling(abeltv.build_abel_matrix(grid), abeltv.ProjectionField(grid, np.zeros((8, 17))))",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
     out = fresh_python(code)

@@ -261,6 +261,14 @@ class TestRunExperiment:
         back = RadialField.from_csv(cfg.output_dir / "run00_ustar.csv")
         assert back.grid.n_r == 16
 
+    @pytest.mark.parametrize("grid_n, message", [(1, "n_r must be >= 2, got 1"), (2.5, "n_r must be an integer, got 2.5")])
+    def test_bad_grid_writes_nothing(self, tmp_path, grid_n, message):
+        # a config built in Python skips the parser's grid_n check
+        cfg = dataclasses.replace(ExperimentConfig.from_dict(small_config(tmp_path)), grid_n=grid_n)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg)
+        assert not cfg.output_dir.exists()
+
     def test_csv_row_order(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         outcomes = run_experiment(cfg)
@@ -497,6 +505,18 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"abeltv: error: --config {cfg_path}: " in err and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_uncreatable_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("abeltv.cli.run_experiment", lambda cfg: pytest.fail("computed"))
+        (tmp_path / "file").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**small_config(tmp_path), "output_dir": str(tmp_path / "file" / "out")}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"abeltv: error: --config {cfg_path}: output_dir: " in err
+        assert "Not a directory" in err and "Traceback" not in err
 
     def test_phantom_rejects_too_few_cells(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

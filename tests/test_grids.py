@@ -11,8 +11,10 @@ from abeltv import (
     DualField,
     GridRZ,
     GridXYZ,
+    NoiseSpec,
     ProjectionField,
     RadialField,
+    SolverParams,
     make_grids,
     revolve,
 )
@@ -26,13 +28,12 @@ class TestMakeGrids:
         assert_array_equal(grid.x, [0.0, 0.5])
         assert_array_equal(grid.r_edges, [0.0, 0.5, 1.0])
         assert grid.n_z == 5
-        assert g3.n == 2 and g3.h == 0.5
+        assert g3.n == 2
 
     def test_reference_resolution(self):
-        grid, g3 = make_grids(128)
+        grid, _ = make_grids(128)
         assert grid.h == 1.0 / 128
         assert grid.n_z == 257
-        assert g3.shape == (257, 257, 129)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -43,21 +44,60 @@ class TestMakeGrids:
         assert [f.name for f in dataclasses.fields(GridXYZ)] == ["n"]
         grid = GridRZ(7)
         assert (grid.n_z, grid.h) == (15, 1.0 / 7)
-        assert GridXYZ(7).h == grid.h
         assert grid == make_grids(7)[0]
+        assert GridRZ(8) == GridRZ(8) and hash(GridRZ(8)) == hash(GridRZ(8))
 
     def test_axial_samples_cover_unit_interval(self):
-        grid, g3 = make_grids(8)
+        grid, _ = make_grids(8)
         assert grid.z[0] == -1.0 and grid.z[-1] == 1.0
         assert_allclose(np.diff(grid.z), grid.h)
-        assert g3.z[0] == 0.0 and g3.z[-1] == 1.0
-        assert g3.xy[0] == -1.0 and g3.xy[-1] == 1.0
 
     def test_spacing_consistency(self):
         for n in (2, 3, 10, 100, 128):
             grid, g3 = make_grids(n)
             assert abs(grid.h * n - 1.0) <= 1e-15
-            assert grid.h == g3.h
+            assert g3.n == grid.n_r
+
+
+# the records that hold counts, each with admissible fields
+_RECORDS = {
+    GridRZ: {"n_r": 8},
+    GridXYZ: {"n": 8},
+    SolverParams: {"lam": 80.0, "tau": 0.2, "gamma": 0.2, "max_iter": 5000, "record_every": 100},
+    NoiseSpec: {"variance_fraction": 0.001, "seed": 7},
+}
+
+
+@pytest.mark.parametrize(
+    "record, field, value, message",
+    [
+        (GridRZ, "n_r", 2.5, "n_r must be an integer, got 2.5"),
+        (GridRZ, "n_r", True, "n_r must be an integer, got True"),
+        (GridXYZ, "n", 2.5, "n must be an integer, got 2.5"),
+        (SolverParams, "max_iter", 10.5, "max_iter must be an integer, got 10.5"),
+        (SolverParams, "max_iter", "5", "max_iter must be an integer, got '5'"),
+        (SolverParams, "max_iter", 0, "max_iter must be >= 1, got 0"),
+        (SolverParams, "record_every", 2.5, "record_every must be an integer, got 2.5"),
+        (SolverParams, "record_every", 0.0, "record_every must be >= 1, got 0"),
+        (NoiseSpec, "seed", 1.5, "seed must be an integer, got 1.5"),
+        (NoiseSpec, "seed", True, "seed must be an integer, got True"),
+        (NoiseSpec, "seed", math.inf, "seed must be an integer, got inf"),
+        # an integral float builds the same record as the int
+        (GridRZ, "n_r", 8.0, None),
+        (GridXYZ, "n", 8.0, None),
+        (SolverParams, "max_iter", 5000.0, None),
+        (NoiseSpec, "seed", 7.0, None),
+    ],
+)
+def test_records_hold_integer_counts(record, field, value, message):
+    kwargs = {**_RECORDS[record], field: value}
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record(**kwargs)
+        return
+    got = record(**kwargs)
+    assert got == record(**_RECORDS[record])
+    assert type(getattr(got, field)) is int
 
 
 class TestFieldContainers:
@@ -75,9 +115,15 @@ class TestFieldContainers:
         with pytest.raises(ValueError):
             ProjectionField(grid, bad)
 
+    def test_fields_compare_by_identity_and_hash(self):
+        grid = GridRZ(4)
+        u, v = RadialField(grid, np.ones((4, 9))), RadialField(grid, np.ones((4, 9)))
+        assert u == u and u != v
+        assert len({u, v, DualField(grid, np.zeros((2, 4, 9)))}) == 3
+
     def test_values_immutable(self):
         grid, _ = make_grids(4)
-        u = RadialField.zeros(grid)
+        u = RadialField(grid, np.zeros((4, 9)))
         with pytest.raises(ValueError):
             u.values[0, 0] = 1.0
 
@@ -85,15 +131,15 @@ class TestFieldContainers:
 class TestRevolve:
     def test_zero_field(self):
         grid, g3 = make_grids(4)
-        out = revolve(RadialField.zeros(grid), g3)
-        assert out.shape == g3.shape
+        out = revolve(RadialField(grid, np.zeros((4, 9))), g3)
+        assert out.shape == (9, 9, 5)
         assert not out.any()
 
     def test_indicator_revolve(self):
         grid, g3 = make_grids(8)
         u = RadialField(grid, np.ones((8, 17)))
         out = revolve(u, g3)
-        xy = g3.xy
+        xy = np.arange(-8, 9) * grid.h
         rr = np.sqrt(xy[:, None] ** 2 + xy[None, :] ** 2)
         assert_array_equal(out[rr < 1.0, :], 1.0)
         assert_array_equal(out[rr >= 1.0, :], 0.0)
@@ -105,7 +151,7 @@ class TestRevolve:
         vals = np.zeros((2, 5))
         vals[1, :] = 3.0
         out = revolve(RadialField(grid, vals), g3)
-        xy = g3.xy
+        xy = np.arange(-2, 3) * grid.h
         for i, x in enumerate(xy):
             for j, y in enumerate(xy):
                 r = np.hypot(x, y)
@@ -137,7 +183,7 @@ class TestRevolve:
     def test_grid_mismatch(self):
         grid, _ = make_grids(4)
         with pytest.raises(ValueError):
-            revolve(RadialField.zeros(grid), GridXYZ(8))
+            revolve(RadialField(grid, np.zeros((4, 9))), GridXYZ(8))
         with pytest.raises(ValueError):
             _lattice_cell_counts(grid, GridXYZ(8))
 

@@ -124,8 +124,8 @@ class TestNormLinf:
 class TestBoundReport:
     def test_degenerate_instance(self):
         grid, g3 = make_grids(8)
-        z2 = RadialField.zeros(grid)
-        f = ProjectionField.zeros(grid)
+        z2 = RadialField(grid, np.zeros((8, 17)))
+        f = ProjectionField(grid, np.zeros((8, 17)))
         with pytest.raises(DegenerateInstanceError):
             bound_report(z2, z2, f, f, f, g3)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from abeltv import (
+    AbelMatrix,
     GridRZ,
     ProjectionField,
     RadialField,
@@ -28,6 +30,19 @@ def _field(grid, column):
 
 
 class TestAbelMatrix:
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_matrix_is_its_entries(self, n):
+        assert [f.name for f in dataclasses.fields(AbelMatrix)] == ["entries"]
+        A = build_abel_matrix(GridRZ(n))
+        assert A.n == n and type(A.n) is int
+        assert A == A and A != build_abel_matrix(GridRZ(n))
+        assert hash(A) == hash(A)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_non_square_entries_rejected(self, shape):
+        with pytest.raises(ValueError, match="is not square"):
+            AbelMatrix(np.zeros(shape))
+
     @pytest.mark.parametrize("n", [2, 3, 12, 64, 100, 128, 256])
     def test_entries_are_chord_formula_bit_for_bit(self, n):
         # entry (i, j), 0-based, for cell [jh, (j+1)h] at height x_i = ih
@@ -83,7 +98,7 @@ class TestApplyAbel:
     def test_zero_field(self):
         grid, _ = make_grids(8)
         A = build_abel_matrix(grid)
-        assert not apply_abel(A, RadialField.zeros(grid)).values.any()
+        assert not apply_abel(A, RadialField(grid, np.zeros((8, 17)))).values.any()
 
     def test_hand_matrix_vector_product(self):
         grid, _ = make_grids(2)
@@ -94,7 +109,7 @@ class TestApplyAbel:
     def test_dimension_mismatch(self):
         A = build_abel_matrix(make_grids(4)[0])
         with pytest.raises(ValueError):
-            apply_abel(A, RadialField.zeros(make_grids(8)[0]))
+            apply_abel(A, RadialField(make_grids(8)[0], np.zeros((8, 17))))
 
     def test_exact_on_cellwise_constant_fields(self):
         # Onion peeling integrates cell-wise-constant profiles exactly;
@@ -136,7 +151,7 @@ class TestApplyAbelTranspose:
     def test_zero(self):
         grid, _ = make_grids(4)
         A = build_abel_matrix(grid)
-        assert not apply_abel_transpose(A, ProjectionField.zeros(grid)).any()
+        assert not apply_abel_transpose(A, ProjectionField(grid, np.zeros((4, 9)))).any()
 
     def test_two_cell_hand_value(self):
         grid, _ = make_grids(2)
@@ -159,7 +174,7 @@ class TestApplyAbelTranspose:
     def test_dimension_mismatch(self):
         A = build_abel_matrix(make_grids(4)[0])
         with pytest.raises(ValueError):
-            apply_abel_transpose(A, ProjectionField.zeros(make_grids(8)[0]))
+            apply_abel_transpose(A, ProjectionField(make_grids(8)[0], np.zeros((8, 17))))
 
 
 class TestGradient:
