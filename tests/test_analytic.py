@@ -110,16 +110,16 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_import_does_not_load_scipy_integrate():
-    # only the quadrature paths need scipy.integrate; they import it on use
+    # the package is numpy-only; scipy.integrate is the tests' oracle alone
     code = "import sys, abeltv, abeltv.cli; print('scipy.integrate' in sys.modules)"
     out = fresh_python(code)
     assert out.stdout.strip() == "False"
 
 
 def test_user_paths_load_no_scipy(tmp_path):
-    # The import, `abeltv run`, `abeltv verify-bounds` and both solvers are
-    # numpy-only, so no scipy import lands in start-up or in a timed call;
-    # only j_transform/abel_transform quadrature loads scipy.
+    # The import, `abeltv run`, `abeltv verify-bounds`, both solvers and the
+    # panel quadrature behind j_transform/abel_transform on callables are
+    # numpy-only, so no scipy import lands in start-up or in any call.
     run = {"variance_fraction": 0.0005, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 20}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -136,6 +136,9 @@ def test_user_paths_load_no_scipy(tmp_path):
         "assert abeltv.cli.main(['verify-bounds', '--trials', '5']) == 0",
         "grid, _ = abeltv.make_grids(8)",
         "abeltv.solve_onion_peeling(abeltv.build_abel_matrix(grid), abeltv.ProjectionField(grid, np.zeros((8, 17))))",
+        "step = lambda r: 1.0 if r < 0.5 else 0.0",
+        "assert abs(abeltv.j_transform(step, 0.1, breakpoints=[0.5]) - 2 * 0.4**0.5 / np.pi**0.5) < 1e-15",
+        "assert abs(abeltv.abel_transform(step, 0.3, breakpoints=[0.5]) - 2 * 0.4) < 1e-15",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
     out = fresh_python(code)
@@ -205,10 +208,10 @@ class TestJTransform:
 
     def test_callable_matches_profile_closed_form(self):
         v = profile([0.0, 0.2, 0.6, 0.8], [0.5, 2.0, 1.0, 0.0])
-        for x in (0.0, 0.15, 0.5, 0.83):
+        for x in (0.0, 0.15, 0.5, 0.83, 1.0):
             exact = j_transform(v, x)
             numeric = j_transform(lambda r: float(v(r)), x, breakpoints=v.breakpoints[1:])
-            assert numeric == pytest.approx(exact, abs=1e-9)
+            assert numeric == pytest.approx(exact, abs=1e-15)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -230,7 +233,7 @@ class TestJTransform:
 class TestAbelTransform:
     def test_unit_disc(self):
         u = lambda r: 1.0 if r < 1.0 else 0.0
-        for x in (0.0, 0.3, 0.9):
+        for x in (0.0, 0.3, 0.9, 1.0):
             assert abel_transform(u, x) == pytest.approx(2.0 * math.sqrt(1 - x * x), abs=1e-12)
 
     def test_zero(self):
@@ -244,6 +247,7 @@ class TestAbelTransform:
             lhs = abel_transform(u, x)
             rhs = SQRT_PI * j_transform(v, x * x)
             assert lhs == pytest.approx(rhs, abs=1e-8)
+            assert lhs == pytest.approx(16.0 / 15.0 * (1.0 - x * x) ** 2.5, abs=1e-14)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from abeltv import (
     ProjectionField,
     RadialField,
     SolverParams,
+    indicator_family,
     make_grids,
     revolve,
 )
@@ -120,6 +121,11 @@ class TestFieldContainers:
         u, v = RadialField(grid, np.ones((4, 9))), RadialField(grid, np.ones((4, 9)))
         assert u == u and u != v
         assert len({u, v, DualField(grid, np.zeros((2, 4, 9)))}) == 3
+
+    def test_indicator_family_compares_by_identity_and_hash(self):
+        fam, twin = indicator_family(4), indicator_family(4)
+        assert fam == fam and fam != twin
+        assert len({fam, twin}) == 2
 
     def test_values_immutable(self):
         grid, _ = make_grids(4)
