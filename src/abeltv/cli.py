@@ -6,8 +6,9 @@
 
 Exit code 0 iff every run succeeds / every bound check passes, and 2 for
 a usage error: a bad argument, a config file that cannot be read or
-parsed, or an output_dir that cannot be created (nothing is computed
-then). Output is CSV only; plotting belongs to downstream tools.
+parsed, an output_dir that cannot be created (nothing is computed then),
+or a phantom ``--out`` path that cannot be written. Output is CSV only;
+plotting belongs to downstream tools.
 """
 
 from __future__ import annotations
@@ -61,7 +62,10 @@ def _cmd_phantom(args, error) -> int:
     except ValueError as exc:
         error(f"argument --n: {exc}")
     u0 = rasterize_phantom(builtin_phantom(args.name), grid)
-    u0.to_csv(args.out)
+    try:
+        u0.to_csv(args.out)
+    except OSError as exc:
+        error(f"argument --out: {exc}")
     print(f"wrote {args.name} at n_r={args.n} to {args.out}")
     return 0
 

@@ -8,7 +8,8 @@
   (one row per run, rewritten after every run; a run that raised carries
   status ``failed:<ErrorClass>`` and is never omitted);
 * per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
-* per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``.
+* per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``; u0 is the same
+  phantom in every run, rendered once and copied.
 
 This module is the only one that knows that layout. Configs are parsed
 strictly and a run's ``SolverParams`` and ``NoiseSpec`` check themselves, so
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,9 +210,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
 
     outcomes: list[RunOutcome] = []
     rows = [RESULTS_HEADER]
+    u0_csv = None  # a finished run's u0 dump, which later runs copy
     for i, run in enumerate(cfg.runs):
         try:
-            outcome = _run(i, run, A, u0, f0, g3, out_dir)
+            outcome = _run(i, run, A, u0, f0, g3, out_dir, u0_csv)
+            u0_csv = out_dir / f"run{i:02d}_u0.csv"
         except Exception as exc:
             outcome = RunOutcome(f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
         outcomes.append(outcome)
@@ -221,14 +225,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     return outcomes
 
 
-def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path) -> RunOutcome:
-    """Solve, report and dump run ``i``."""
+def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path, u0_csv: Path | None) -> RunOutcome:
+    """Solve, report and dump run ``i``; its u0 dump is a copy of ``u0_csv``
+    when an earlier run wrote one."""
     f = add_noise(f0, run.noise)
     result = solve_tv(A, f, run.solver)
     f_star = apply_abel(A, result.u_star)
     report = bound_report(result.u_star, u0, f_star, f, f0, g3)
     _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
-    for name, field in (("u0", u0), ("ustar", result.u_star), ("f", f), ("fstar", f_star)):
+    if u0_csv is None:
+        u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
+    else:
+        shutil.copyfile(u0_csv, out_dir / f"run{i:02d}_u0.csv")
+    for name, field in (("ustar", result.u_star), ("f", f), ("fstar", f_star)):
         field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
     return RunOutcome("ok", report, result.final_energy, result.iterations_run, result.wall_time)
 

@@ -20,11 +20,13 @@ as an int.
 Field containers are immutable after construction and safe to share across
 threads; like every record holding arrays, they compare by identity and
 hash. They round-trip bit-exactly through CSV, the only field format:
-``to_csv`` writes each value's shortest round-trip decimal form, and
-``from_csv`` reads the rows with ``np.loadtxt``, whose C parser rounds
-correctly like ``float``. ``from_csv`` raises ValueError naming the file
-for a header that lacks, garbles or contradicts n_r, n_z or h, no rows, a
-ragged row, a token that is not a finite number, or a wrong row count.
+``to_csv`` writes each value's shortest round-trip decimal form, the bytes
+``repr`` gives, made a few rows at a time by the numpy kernel in
+``_shortest``; ``from_csv`` reads the rows with ``np.loadtxt``, whose C
+parser rounds correctly like ``float``. ``from_csv`` raises ValueError
+naming the file for a header that lacks, garbles or contradicts n_r, n_z
+or h, no rows, a ragged row, a token that is not a finite number, or a
+wrong row count.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ __all__ = [
     "make_grids",
     "revolve",
 ]
+
+
+# values rendered at a time by to_csv: the kernel's temporaries stay near 1 MB
+_CSV_CHUNK = 4096
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -155,13 +161,17 @@ class _Field2D:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write ``# grid ...`` header plus one comma-separated line per row."""
+        """Write ``# grid ...`` header plus one comma-separated line per row,
+        a few whole rows at a time."""
+        from ._shortest import format_rows  # here, so that `import abeltv` does not compile it
+
         g = self.grid
-        with open(path, "w") as fh:
-            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}\n")
-            for row in self.values.reshape(-1, g.n_z):
-                fh.write(",".join(map(repr, row.tolist())))
-                fh.write("\n")
+        rows = self.values.reshape(-1, g.n_z)
+        step = max(1, _CSV_CHUNK // g.n_z)
+        with open(path, "wb") as fh:
+            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}\n".encode())
+            for start in range(0, len(rows), step):
+                fh.write(format_rows(rows[start : start + step]))
 
     @classmethod
     def from_csv(cls, path):

@@ -339,6 +339,22 @@ class TestRunExperiment:
         assert results[1] == "0.0005,nan,nan,nan,nan,nan,nan,nan,0,failed:SolverDivergedError"
         assert results[2].endswith("ok")
 
+    def test_u0_rendered_once_and_copied(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        rendered = []
+        to_csv = RadialField.to_csv
+
+        def recording(field, path):
+            rendered.append(Path(path).name)
+            to_csv(field, path)
+
+        monkeypatch.setattr(RadialField, "to_csv", recording)
+        run_experiment(cfg)
+        assert [name for name in rendered if "u0" in name] == ["run00_u0.csv"]
+        first = (cfg.output_dir / "run00_u0.csv").read_bytes()
+        assert (cfg.output_dir / "run01_u0.csv").read_bytes() == first
+        assert RadialField.from_csv(cfg.output_dir / "run01_u0.csv").grid.n_r == 16
+
     def test_any_exception_in_a_run_is_isolated(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         real_report = experiments.bound_report
@@ -524,6 +540,16 @@ class TestCLI:
         assert exc.value.code == 2
         assert "abeltv: error: argument --n: n_r must be >= 2, got 1" in capsys.readouterr().err
         assert not (tmp_path / "u0.csv").exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_phantom_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "u0.csv" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "--name", "nested-annuli", "--out", str(out), "--n", "8"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "abeltv: error: argument --out: " in err and str(out) in err
+        assert "Traceback" not in err
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,10 +1,14 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from abeltv import (
@@ -226,6 +230,38 @@ def _replace_token(lines, token):
     return [*lines[:2], ",".join(row), *lines[3:]]
 
 
+def _repr_sweep() -> np.ndarray:
+    """200 000 random finite bit patterns, then the floats where shortest
+    round-trip formatting has its edge cases."""
+    rng = np.random.default_rng(20240)
+    random = rng.integers(0, 2**64, size=210_000, dtype=np.uint64).view(np.float64)
+    powers2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switches = np.array([1e-05, 1e-04, 1e15, 1e16])  # where repr's notation changes
+
+    def with_neighbours(x):
+        return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+    return np.concatenate([
+        random[np.isfinite(random)][:200_000],
+        powers2,
+        -powers2,
+        np.arange(1, 5001, dtype=np.uint64).view(np.float64),  # subnormal significands
+        with_neighbours(powers10),
+        2.0**53 + np.arange(-2000, 2001),
+        with_neighbours(switches),
+        [0.0, -0.0],
+    ])
+
+
+def _expected_csv(field) -> bytes:
+    """What to_csv writes: the header, then each row's values in repr form."""
+    g = field.grid
+    lines = [f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}"]
+    lines += [",".join(map(repr, row.tolist())) for row in field.values.reshape(-1, g.n_z)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestSerialization:
     @pytest.fixture
     def field(self):
@@ -283,6 +319,38 @@ class TestSerialization:
         path = tmp_path / "u.csv"
         u.to_csv(path)
         assert RadialField.from_csv(path).values.tobytes() == u.values.tobytes()
+
+    def test_csv_tokens_are_repr_over_sweep(self, tmp_path):
+        values = _repr_sweep()
+        assert values.size > 210_000
+        n_r = math.ceil(math.sqrt(values.size / 2))
+        padded = np.zeros(n_r * (2 * n_r + 1))
+        padded[: values.size] = values
+        u = RadialField(GridRZ(n_r), padded.reshape(n_r, -1))
+        path = tmp_path / "u.csv"
+        u.to_csv(path)
+        assert path.read_bytes() == _expected_csv(u)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(vals=arrays(np.float64, (3, 7), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_csv_tokens_are_repr(self, tmp_path, vals):
+        u = RadialField(GridRZ(3), vals)
+        path = tmp_path / "u.csv"
+        u.to_csv(path)
+        assert path.read_bytes() == _expected_csv(u)
+
+    def test_csv_written_in_chunks(self, tmp_path):
+        # to_csv renders a few rows at a time, so an n_r = 256 field (131 328
+        # values, 2.6 MB of text) never holds all its text in memory
+        grid = GridRZ(256)
+        u = RadialField(grid, np.random.default_rng(3).normal(size=(grid.n_r, grid.n_z)))
+        tracemalloc.start()
+        try:
+            u.to_csv(tmp_path / "u.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize(
         "edit, phrase",
