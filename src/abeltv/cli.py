@@ -6,8 +6,10 @@
 
 Exit code 0 iff every run succeeds / every bound check passes, and 2 for
 a usage error: a bad argument, a config file that cannot be read or
-parsed, an output_dir that cannot be created (nothing is computed then),
-or a phantom ``--out`` path that cannot be written. Output is CSV only;
+parsed or that ``ExperimentConfig`` rejects (a phantom that does not fit
+``grid_n`` included), an output_dir that cannot be created (nothing is
+computed then), a phantom ``--n`` that the phantom does not fit, or a
+phantom ``--out`` path that cannot be written. Output is CSV only;
 plotting belongs to downstream tools.
 """
 
@@ -58,10 +60,9 @@ def _cmd_verify_bounds(args, error) -> int:
 
 def _cmd_phantom(args, error) -> int:
     try:
-        grid = GridRZ(args.n)
+        u0 = rasterize_phantom(builtin_phantom(args.name), GridRZ(args.n))
     except ValueError as exc:
         error(f"argument --n: {exc}")
-    u0 = rasterize_phantom(builtin_phantom(args.name), grid)
     try:
         u0.to_csv(args.out)
     except OSError as exc:

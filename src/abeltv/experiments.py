@@ -12,9 +12,11 @@
   phantom in every run, rendered once and copied.
 
 This module is the only one that knows that layout. Configs are parsed
-strictly and a run's ``SolverParams`` and ``NoiseSpec`` check themselves, so
-a malformed or inadmissible run stops the experiment before anything is
-computed or written.
+strictly, and every record checks itself: ``ExperimentConfig`` checks
+``grid_n`` and that the phantom fits that grid, a run's ``SolverParams`` and
+``NoiseSpec`` check their fields. So a config that constructs, parsed or
+built in Python, can run, and a malformed or inadmissible one is rejected
+before anything is computed or written.
 
 Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
@@ -39,7 +41,7 @@ from . import analytic
 from .grids import GridRZ, _integer, make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
-from .phantoms import NoiseSpec, Shape, add_noise, builtin_phantom, rasterize_phantom
+from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
 from .solver import SolveResult, SolverParams, solve_tv
 
 __all__ = [
@@ -74,6 +76,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.runs) == 0:
             raise ValueError("runs must be nonempty")
+        try:
+            grid = GridRZ(self.grid_n)
+            _check_support(self.phantom, grid)
+        except ValueError as exc:
+            raise ValueError(f"grid_n: {exc}") from None
+        object.__setattr__(self, "grid_n", grid.n_r)
         object.__setattr__(self, "runs", tuple(self.runs))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -85,9 +93,10 @@ class ExperimentConfig:
         run gives ``variance_fraction, lambda, tau, gamma, max_iter, seed``
         (optional ``record_every``). An unknown or missing key, a non-number
         or a non-integral ``grid_n``, ``max_iter``, ``seed`` or
-        ``record_every``, or a ``grid_n`` below 2, raises ValueError naming
-        the run index and the key; in an inline phantom, the shape index and
-        the key.
+        ``record_every`` raises ValueError naming the run index and the key;
+        in an inline phantom, the shape index and the key. What the records
+        reject (a ``grid_n`` below 2, a phantom that does not fit the grid)
+        carries the ``config: `` prefix too.
         """
         try:
             top = _fields(obj, _CONFIG_SCHEMA)
@@ -101,7 +110,10 @@ class ExperimentConfig:
                 runs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
             except ValueError as exc:
                 raise ValueError(f"run {i}: {exc}") from None
-        return cls(top["grid_n"], top["phantom"], tuple(runs), top["output_dir"])
+        try:
+            return cls(top["grid_n"], top["phantom"], tuple(runs), top["output_dir"])
+        except ValueError as exc:
+            raise ValueError(f"config: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -135,16 +147,6 @@ def _json(what: str, kind, convert=None):
 _number = _json("a number", (int, float), float)
 
 
-def _grid_n(value, key: str) -> int:
-    """An integer radial cell count that the grids accept."""
-    n = _integer(value, key)
-    try:
-        GridRZ(n)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-    return n
-
-
 def _phantom(value, key: str) -> tuple[Shape, ...]:
     """A built-in name, or an inline ``{"shapes": [...]}`` (schema in
     ``phantoms``) parsed as strictly as the rest of the config."""
@@ -171,7 +173,7 @@ def _pair(value, key: str) -> tuple[float, float]:
 
 
 _CONFIG_SCHEMA = {
-    "grid_n": _grid_n,
+    "grid_n": _integer,
     "phantom": _phantom,
     "output_dir": _json("a string", str, Path),
     "runs": _json("a list", list),

@@ -82,16 +82,21 @@ def build_abel_matrix(g: GridRZ) -> AbelMatrix:
 
 def apply_abel(A: AbelMatrix, u: RadialField) -> ProjectionField:
     """Forward projection f = A u, applied independently per axial column."""
-    if A.n != u.grid.n_r:
-        raise ValueError(f"matrix size {A.n} != field n_r {u.grid.n_r}")
+    _check_size(A, u)
     return ProjectionField(u.grid, A.entries @ u.values)
 
 
 def apply_abel_transpose(A: AbelMatrix, f: ProjectionField) -> np.ndarray:
     """Exact transpose action A^T f per axial column (adjoint of apply_abel)."""
-    if A.n != f.grid.n_r:
-        raise ValueError(f"matrix size {A.n} != field n_r {f.grid.n_r}")
+    _check_size(A, f)
     return A.entries.T @ f.values
+
+
+def _check_size(A: AbelMatrix, *fields) -> None:
+    """Raise ValueError naming both sizes unless every field's n_r is A.n."""
+    for field in fields:
+        if field.grid.n_r != A.n:
+            raise ValueError(f"matrix size {A.n} != field n_r {field.grid.n_r}")
 
 
 def gradient(u: np.ndarray, h: float) -> np.ndarray:

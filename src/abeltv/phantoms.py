@@ -98,12 +98,9 @@ class NoiseSpec:
         object.__setattr__(self, "seed", seed)
 
 
-def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:
-    """Paint the shapes onto the grid, later shapes overwriting earlier.
-
-    Raises ValueError if any shape escapes the supported box
-    [0, 1-h) x [-1+h, 1-h] on this grid.
-    """
+def _check_support(shapes: tuple[Shape, ...], g: GridRZ) -> None:
+    """Raise ValueError if any shape escapes the support box
+    [0, 1-h) x [-1+h, 1-h] of the grid."""
     h = g.h
     for s in shapes:
         r_max, z_lo, z_hi = s.extent()
@@ -111,6 +108,15 @@ def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:
             raise ValueError(
                 f"shape {s} escapes the support box [0, {1 - h}) x [{-1 + h}, {1 - h}]"
             )
+
+
+def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:
+    """Paint the shapes onto the grid, later shapes overwriting earlier.
+
+    Raises ValueError if any shape escapes the support box of the grid
+    (``_check_support``, the same check that ``ExperimentConfig`` makes).
+    """
+    _check_support(shapes, g)
     R, Z = np.meshgrid(g.r_centers, g.z, indexing="ij")
     values = np.zeros_like(R)
     for s in shapes:

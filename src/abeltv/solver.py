@@ -56,7 +56,14 @@ import numpy as np
 
 from .grids import DualField, ProjectionField, RadialField, _integer
 from .metrics import _tv_sum
-from .operators import AbelMatrix, _cell_magnitude, _divergence_into, _gradient_into, apply_abel_transpose
+from .operators import (
+    AbelMatrix,
+    _cell_magnitude,
+    _check_size,
+    _divergence_into,
+    _gradient_into,
+    apply_abel_transpose,
+)
 
 # Not called here: the benchmark's layer trace (benchmarks/worker.py) wraps
 # these names on this module, so they stay importable from it.
@@ -141,8 +148,7 @@ def energy(u: RadialField, A: AbelMatrix, f: ProjectionField, lam: float) -> flo
     """Objective value E(u) = h^2 sum|Du| + (lam/2) ||Au - f||_{l2(V_h)}^2.
 
     The TV term is h * tv_seminorm(u)."""
-    if A.n != u.grid.n_r or u.grid != f.grid:
-        raise ValueError("inconsistent shapes between matrix, field and data")
+    _check_size(A, u, f)
     g = np.empty((2,) + u.values.shape)
     return _energy(u.values, A.entries, f.values, lam, u.grid.h, g, np.empty_like(g[0]))
 
@@ -188,8 +194,7 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
     SolverDivergedError
         If an iterate becomes non-finite; the offending iteration is named.
     """
-    if A.n != f.grid.n_r:
-        raise ValueError(f"matrix size {A.n} != data n_r {f.grid.n_r}")
+    _check_size(A, f)
     t0 = time.perf_counter()
     grid = f.grid
     tau, gamma, lam = params.tau, params.gamma, params.lam
@@ -250,7 +255,6 @@ def solve_onion_peeling(A: AbelMatrix, f: ProjectionField) -> RadialField:
     noise through the ill-conditioned triangular solve, which is the
     behaviour the TV-regularized solver exists to avoid.
     """
-    if A.n != f.grid.n_r:
-        raise ValueError(f"matrix size {A.n} != data n_r {f.grid.n_r}")
+    _check_size(A, f)
     u = np.linalg.solve(A.entries, f.values)
     return RadialField(f.grid, u)

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import abeltv.experiments as experiments
 from abeltv import (
     ExperimentConfig,
+    GridRZ,
     NoiseSpec,
     PiecewiseConstantProfile,
     RunSpec,
     SolverParams,
     builtin_phantom,
+    rasterize_phantom,
     run_experiment,
     verify_bounds,
 )
@@ -181,6 +183,13 @@ class TestConfig:
                     ({"z": [0.3, -0.3]}, "z must satisfy z_lo <= z_hi"),
                 ]
             ),
+            (
+                "top",
+                "phantom",
+                {"shapes": [{**INLINE["shapes"][0], "r": [0.0, 0.95]}]},
+                "config: grid_n: shape Shape(kind='rect', r=(0.0, 0.95), z=(-0.5, 0.5), level=1.0) "
+                "escapes the support box [0, 0.9375) x [-0.9375, 0.9375]",
+            ),
         ],
     )
     def test_malformed_config_rejected_before_compute(self, tmp_path, where, key, bad, message):
@@ -224,6 +233,7 @@ class TestConfig:
         except ValueError:
             return
         assert cfg.grid_n == obj["grid_n"] and cfg.output_dir == Path(obj["output_dir"])
+        rasterize_phantom(cfg.phantom, GridRZ(cfg.grid_n))  # a config that parses can run
         for run, r in zip(cfg.runs, obj["runs"], strict=True):
             assert run.solver == SolverParams(
                 lam=r["lambda"],
@@ -261,12 +271,24 @@ class TestRunExperiment:
         back = RadialField.from_csv(cfg.output_dir / "run00_ustar.csv")
         assert back.grid.n_r == 16
 
-    @pytest.mark.parametrize("grid_n, message", [(1, "n_r must be >= 2, got 1"), (2.5, "n_r must be an integer, got 2.5")])
+    @pytest.mark.parametrize(
+        "grid_n, message",
+        [
+            (1, "n_r must be >= 2, got 1"),
+            (2.5, "n_r must be an integer, got 2.5"),
+            pytest.param(
+                3,
+                "shape Shape(kind='rect', r=(0.0, 0.72), z=(-0.75, 0.75), level=0.3) escapes the support box "
+                "[0, 0.6666666666666667) x [-0.6666666666666667, 0.6666666666666667]",
+                id="3-support-box",
+            ),
+        ],
+    )
     def test_bad_grid_writes_nothing(self, tmp_path, grid_n, message):
-        # a config built in Python skips the parser's grid_n check
-        cfg = dataclasses.replace(ExperimentConfig.from_dict(small_config(tmp_path)), grid_n=grid_n)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            run_experiment(cfg)
+        # a config built in Python passes the same grid_n checks as a parsed one
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        with pytest.raises(ValueError, match=f"^grid_n: {re.escape(message)}$"):
+            dataclasses.replace(cfg, grid_n=grid_n)
         assert not cfg.output_dir.exists()
 
     def test_csv_row_order(self, tmp_path):
@@ -504,6 +526,11 @@ class TestCLI:
         [
             (lambda obj: obj["runs"][1].pop("seed"), "run 1: missing key 'seed'"),
             (lambda obj: obj.update(grid_n=1), "config: grid_n: n_r must be >= 2, got 1"),
+            (
+                lambda obj: obj.update(grid_n=3),
+                "config: grid_n: shape Shape(kind='rect', r=(0.0, 0.72), z=(-0.75, 0.75), level=0.3) "
+                "escapes the support box",
+            ),
             (None, "Expecting"),  # not JSON
         ],
     )
@@ -520,6 +547,7 @@ class TestCLI:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"abeltv: error: --config {cfg_path}: " in err and message in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_uncreatable_output_dir(self, tmp_path, capsys, monkeypatch):
@@ -535,11 +563,18 @@ class TestCLI:
         assert "Not a directory" in err and "Traceback" not in err
 
     def test_phantom_rejects_too_few_cells(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["phantom", "--name", "nested-annuli", "--out", str(tmp_path / "u0.csv"), "--n", "1"])
-        assert exc.value.code == 2
-        assert "abeltv: error: argument --n: n_r must be >= 2, got 1" in capsys.readouterr().err
-        assert not (tmp_path / "u0.csv").exists()
+        cases = [
+            ("nested-annuli", "1", "n_r must be >= 2, got 1"),
+            ("four-blobs", "5", "shape Shape(kind='half_ellipse', r=(0.2, 0.15), z=(-0.7, 0.12), level=0.4) "
+             "escapes the support box [0, 0.8) x [-0.8, 0.8]"),
+        ]
+        for name, n, message in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(["phantom", "--name", name, "--out", str(tmp_path / "u0.csv"), "--n", n])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"abeltv: error: argument --n: {message}" in err and "Traceback" not in err
+            assert not (tmp_path / "u0.csv").exists()
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_phantom_unwritable_out_is_usage_error(self, tmp_path, capsys, where):

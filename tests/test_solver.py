@@ -64,8 +64,11 @@ class TestEnergy:
         grid, _ = make_grids(4)
         other, _ = make_grids(8)
         A = build_abel_matrix(grid)
-        with pytest.raises(ValueError):
+        # the message names both sizes, and the data is checked as well as u
+        with pytest.raises(ValueError, match=r"^matrix size 4 != field n_r 8$"):
             energy(RadialField(other, np.zeros((8, 17))), A, ProjectionField(other, np.zeros((8, 17))), 1.0)
+        with pytest.raises(ValueError, match=r"^matrix size 4 != field n_r 8$"):
+            energy(RadialField(grid, np.zeros((4, 9))), A, ProjectionField(other, np.zeros((8, 17))), 1.0)
 
 
 class TestProjectUnitBall:
