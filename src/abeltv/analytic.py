@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import _freeze
+from .grids import _freeze, _integer
 
 __all__ = [
     "PiecewiseConstantProfile",
@@ -330,10 +330,9 @@ def random_step_profiles(trials: int, seed: int) -> Iterator[tuple[np.ndarray, n
     Each profile has a uniform piece count in {1.._MAX_PIECES}, jump
     locations uniform in (0, _BREAKPOINT_HIGH), values uniform in [0, 1] and
     a trailing zero piece, staying inside the hypotheses of the stability
-    bounds (bounded, support in [0, 1)). ``trials`` < 1 raises ValueError.
+    bounds (bounded, support in [0, 1)). ``trials`` is a count >= 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         pieces = int(rng.integers(1, _MAX_PIECES + 1))

@@ -11,12 +11,11 @@
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``; u0 is the same
   phantom in every run, rendered once and copied.
 
-This module is the only one that knows that layout. Configs are parsed
-strictly, and every record checks itself: ``ExperimentConfig`` checks
-``grid_n`` and that the phantom fits that grid, a run's ``SolverParams`` and
-``NoiseSpec`` check their fields. So a config that constructs, parsed or
-built in Python, can run, and a malformed or inadmissible one is rejected
-before anything is computed or written.
+This module is the only one that knows that layout. Every record checks
+its own fields, so a config that constructs, parsed or built in Python, can
+run, and a malformed or inadmissible one is rejected with a ValueError
+naming the field before anything is computed or written. The JSON parser
+checks only object keys, lists and the phantom's name-or-object form.
 
 Independent runs share the rasterized phantom and Abel matrix; per-run
 noise is keyed by the run's own seed, so results are bit-reproducible for
@@ -38,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic
-from .grids import GridRZ, _integer, make_grids
+from .grids import GridRZ, make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
@@ -65,6 +64,11 @@ class RunSpec:
     solver: SolverParams
     noise: NoiseSpec
 
+    def __post_init__(self):
+        for name, kind in (("solver", SolverParams), ("noise", NoiseSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,15 +78,21 @@ class ExperimentConfig:
     output_dir: Path
 
     def __post_init__(self):
-        if len(self.runs) == 0:
+        for name, kind in (("phantom", Shape), ("runs", RunSpec)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+                raise ValueError(f"{name} must be a sequence of {kind.__name__}s, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not self.runs:
             raise ValueError("runs must be nonempty")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         try:
             grid = GridRZ(self.grid_n)
             _check_support(self.phantom, grid)
         except ValueError as exc:
             raise ValueError(f"grid_n: {exc}") from None
         object.__setattr__(self, "grid_n", grid.n_r)
-        object.__setattr__(self, "runs", tuple(self.runs))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     @classmethod
@@ -91,27 +101,28 @@ class ExperimentConfig:
 
         ``phantom`` is either a built-in name or an inline shape list; each
         run gives ``variance_fraction, lambda, tau, gamma, max_iter, seed``
-        (optional ``record_every``). An unknown or missing key, a non-number
-        or a non-integral ``grid_n``, ``max_iter``, ``seed`` or
-        ``record_every`` raises ValueError naming the run index and the key;
-        in an inline phantom, the shape index and the key. What the records
-        reject (a ``grid_n`` below 2, a phantom that does not fit the grid)
-        carries the ``config: `` prefix too.
+        (optional ``record_every``). The parser checks only keys: an unknown
+        or missing one raises ValueError naming it, under the prefix
+        ``run <i>: ``, ``shape <i>: `` or ``config: ``. Every value is
+        checked by its record, whose ValueError names the field under the
+        same prefix.
         """
         try:
-            top = _fields(obj, _CONFIG_SCHEMA)
+            top = _fields(obj, ("grid_n", "phantom", "output_dir", "runs"))
+            phantom = _phantom(top["phantom"])
+            runs = _list(top["runs"], "runs")
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
-        runs = []
-        for i, r in enumerate(top["runs"]):
+        specs = []
+        for i, r in enumerate(runs):
             try:
-                r = _fields(r, _RUN_SCHEMA, {"record_every": SolverParams.record_every})
+                r = _fields(r, _RUN_KEYS, {"record_every": SolverParams.record_every})
                 solver = SolverParams(r["lambda"], r["tau"], r["gamma"], r["max_iter"], r["record_every"])
-                runs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
+                specs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
             except ValueError as exc:
                 raise ValueError(f"run {i}: {exc}") from None
         try:
-            return cls(top["grid_n"], top["phantom"], tuple(runs), top["output_dir"])
+            return cls(top["grid_n"], phantom, specs, top["output_dir"])
         except ValueError as exc:
             raise ValueError(f"config: {exc}") from None
 
@@ -121,68 +132,44 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _fields(obj, schema: dict, defaults: dict = {}) -> dict:
-    """Parse each value of the JSON object ``obj``, whose keys must be
-    exactly those of ``schema`` (key -> parser), less any in ``defaults``."""
+def _fields(obj, keys: tuple, defaults: dict = {}) -> dict:
+    """The JSON object ``obj`` over ``defaults``; its keys must be exactly
+    ``keys``, less any in ``defaults``. The values are the records' to check."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object, got {obj!r}")
     obj = {**defaults, **obj}
-    for key in {**obj, **schema}:
-        if key not in schema or key not in obj:
+    for key in [*obj, *keys]:
+        if key not in keys or key not in obj:
             raise ValueError(f"{'unknown' if key in obj else 'missing'} key {key!r}")
-    return {key: parse(obj[key], key) for key, parse in schema.items()}
+    return obj
 
 
-def _json(what: str, kind, convert=None):
-    """Parser of a JSON value that must be a ``kind`` and not a bool."""
-
-    def parse(value, key: str):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{key} must be {what}, got {value!r}")
-        return value if convert is None else convert(value)
-
-    return parse
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
-_number = _json("a number", (int, float), float)
-
-
-def _phantom(value, key: str) -> tuple[Shape, ...]:
+def _phantom(value) -> tuple[Shape, ...]:
     """A built-in name, or an inline ``{"shapes": [...]}`` (schema in
     ``phantoms``) parsed as strictly as the rest of the config."""
     if isinstance(value, str):
         return builtin_phantom(value)
     try:
-        shapes = _fields(value, {"shapes": _json("a list", list)})["shapes"]
+        shapes = _list(_fields(value, ("shapes",))["shapes"], "shapes")
         return tuple(_shape(s, i) for i, s in enumerate(shapes))
     except ValueError as exc:
-        raise ValueError(f"{key}: malformed inline phantom: {exc}") from None
+        raise ValueError(f"phantom: malformed inline phantom: {exc}") from None
 
 
 def _shape(obj, i: int) -> Shape:
     try:
-        return Shape(**_fields(obj, _SHAPE_SCHEMA))
+        return Shape(**_fields(obj, ("kind", "r", "z", "level")))
     except ValueError as exc:
         raise ValueError(f"shape {i}: {exc}") from None
 
 
-def _pair(value, key: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValueError(f"{key} must be a list of two numbers, got {value!r}")
-    return tuple(_number(v, key) for v in value)
-
-
-_CONFIG_SCHEMA = {
-    "grid_n": _integer,
-    "phantom": _phantom,
-    "output_dir": _json("a string", str, Path),
-    "runs": _json("a list", list),
-}
-_SHAPE_SCHEMA = {"kind": _json("a string", str), "r": _pair, "z": _pair, "level": _number}
-_RUN_SCHEMA = {
-    **dict.fromkeys(("variance_fraction", "lambda", "tau", "gamma"), _number),
-    **dict.fromkeys(("max_iter", "seed", "record_every"), _integer),
-}
+_RUN_KEYS = ("variance_fraction", "lambda", "tau", "gamma", "max_iter", "seed", "record_every")
 
 
 @dataclass(frozen=True)
@@ -266,7 +253,7 @@ def verify_bounds(seed: int, trials: int) -> dict[str, float]:
     random step profiles; decay-slope checks report |slope - target| over
     the 0.02 tolerance; the sum-bound suboptimality witness reports the
     transformed norm against the 0.1 threshold while the family's TV stays
-    pinned at 1. ``trials`` < 1 raises ValueError.
+    pinned at 1. ``trials`` is a count >= 1.
     """
     worst = analytic.bound_ratios(analytic.random_step_profiles(trials, seed))
     ratios = {

@@ -13,9 +13,10 @@ All computations live on the unit cylinder. Two grids appear:
   ``revolve`` samples x, y in [-1, 1] and z in [0, 1] at spacing ``1/n``,
   an array of shape (2n+1, 2n+1, n+1).
 
-Counts (the grids' n_r and n, the solver's iteration counts, the noise
-seed) follow one rule, ``_integer``: an int or an integral float, stored
-as an int.
+Every number a record holds follows one of two value rules, whose
+ValueError names the field: ``_integer`` for counts (an int or an integral
+float, stored as an int, not below a bound) and ``_real`` for the rest (an
+int or a float, numpy's included, stored as a finite float).
 
 Field containers are immutable after construction and safe to share across
 threads; like every record holding arrays, they compare by identity and
@@ -31,6 +32,7 @@ wrong row count.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -57,12 +59,28 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _integer(value, name: str) -> int:
-    """An int, or a float with an integral value, as an int; a bool or
-    anything else raises ValueError naming ``name``."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """An int or an integral float, as an int not below ``low``; anything
+    else, a bool included, raises ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """An int or a float, numpy scalars included, as a finite float; a bool,
+    anything else or a non-finite value raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -72,10 +90,7 @@ class GridRZ:
     n_r: int
 
     def __post_init__(self):
-        n_r = _integer(self.n_r, "n_r")
-        if n_r < 2:
-            raise ValueError(f"n_r must be >= 2, got {n_r}")
-        object.__setattr__(self, "n_r", n_r)
+        object.__setattr__(self, "n_r", _integer(self.n_r, "n_r", 2))
 
     @property
     def n_z(self) -> int:
@@ -113,10 +128,7 @@ class GridXYZ:
     n: int
 
     def __post_init__(self):
-        n = _integer(self.n, "n")
-        if n < 2:
-            raise ValueError(f"n must be >= 2, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _integer(self.n, "n", 2))
 
 
 def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:

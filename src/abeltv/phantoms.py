@@ -16,20 +16,20 @@ that ``experiments`` parses for an inline phantom:
   z_semiaxis]`` with both semiaxes > 0; the region is the ellipse
   intersected with r >= 0.
 
-Every coordinate must be finite; a ``Shape`` that breaks these rules
-raises ValueError naming ``r`` or ``z``. Every shape must also stay inside
+``r`` and ``z`` are pairs of finite numbers and ``level`` a finite number
+in [0, 1] (``grids._real``); a ``Shape`` that breaks these rules raises
+ValueError naming the field. Every shape must also stay inside
 [0, 1-h) x [-1+h, 1-h] so that rasterized fields vanish on the outermost
 radial cell and the axial boundary rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField, _integer
+from .grids import GridRZ, ProjectionField, RadialField, _integer, _real
 
 __all__ = [
     "Shape",
@@ -51,13 +51,16 @@ class Shape:
     def __post_init__(self):
         if self.kind not in ("rect", "half_ellipse"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"level must lie in [0, 1], got {self.level}")
+        level = _real(self.level, "level")
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"level must lie in [0, 1], got {level}")
+        object.__setattr__(self, "level", level)
         for name in ("r", "z"):
-            lo, hi = map(float, getattr(self, name))
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair of two numbers, got {pair!r}")
+            lo, hi = (_real(v, name) for v in pair)
             object.__setattr__(self, name, (lo, hi))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
             if self.kind == "half_ellipse" and hi <= 0.0:
                 raise ValueError(f"{name} semiaxis must be > 0, got {hi}")
         if self.kind == "rect" and self.r[1] <= self.r[0]:
@@ -89,12 +92,13 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        vf = self.variance_fraction
-        if not (math.isfinite(vf) and vf >= 0):
-            raise ValueError(f"variance_fraction must be finite and >= 0, got {vf}")
+        vf = _real(self.variance_fraction, "variance_fraction")
+        if vf < 0:
+            raise ValueError(f"variance_fraction must be >= 0, got {vf}")
         seed = _integer(self.seed, "seed")
         if not 0 <= seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+        object.__setattr__(self, "variance_fraction", vf)
         object.__setattr__(self, "seed", seed)
 
 

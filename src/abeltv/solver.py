@@ -48,13 +48,12 @@ peaks at about eight arrays plus K (8.6 MB at n_r = 256).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DualField, ProjectionField, RadialField, _integer
+from .grids import DualField, ProjectionField, RadialField, _integer, _real
 from .metrics import _tv_sum
 from .operators import (
     AbelMatrix,
@@ -107,16 +106,14 @@ class SolverParams:
 
     def __post_init__(self):
         for name in ("lam", "tau", "gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            value = _real(getattr(self, name), name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         if 8.0 * self.tau * self.gamma >= 1.0:
             raise ValueError(f"8*tau*gamma must be < 1, got tau={self.tau}, gamma={self.gamma}")
         for name in ("max_iter", "record_every"):
-            count = _integer(getattr(self, name), name)
-            if count < 1:
-                raise ValueError(f"{name} must be >= 1, got {count}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
 
 
 @dataclass(frozen=True)

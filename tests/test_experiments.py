@@ -16,6 +16,7 @@ from abeltv import (
     NoiseSpec,
     PiecewiseConstantProfile,
     RunSpec,
+    Shape,
     SolverParams,
     builtin_phantom,
     rasterize_phantom,
@@ -37,6 +38,12 @@ JSON_VALUES = st.recursive(
 )
 # values a config field may legitimately hold, so that some perturbed configs parse
 PLAUSIBLE = st.integers(1, 1000) | st.integers(1, 1000).map(float) | st.floats(0.001, 0.1)
+# admissible fields of the records that hold a config's values
+RECORD_FIELDS = {
+    SolverParams: {"lam": 80.0, "tau": 0.2, "gamma": 0.2, "max_iter": 150, "record_every": 100},
+    NoiseSpec: {"variance_fraction": 0.0005, "seed": 3},
+    Shape: {"kind": "rect", "r": (0.0, 0.5), "z": (-0.5, 0.5), "level": 1.0},
+}
 
 
 # `abeltv verify-bounds --trials 1000 --seed S`, line for line, by S
@@ -146,13 +153,17 @@ class TestConfig:
             ("run", "max_iter", True, "run 1: max_iter must be an integer"),
             ("run", "seed", 3.5, "run 1: seed must be an integer"),
             ("run", "record_every", "50", "run 1: record_every must be an integer"),
-            ("run", "lambda", "80", "run 1: lambda must be a number"),
+            # explicit ids keep these three cases' ids apart from their messages
+            pytest.param("run", "lambda", "80", "run 1: lam must be a number",
+                         id="run-lambda-80-run 1: lambda must be a number"),
             ("run", "tau", None, "run 1: tau must be a number"),
             ("run", "record_evry", 50, "run 1: unknown key 'record_evry'"),
             ("run", "lambda", DELETE, "run 1: missing key 'lambda'"),
             ("run", "seed", -1, "run 1: seed must lie in"),
-            ("top", "grid_n", 16.9, "config: grid_n must be an integer"),
-            ("top", "grid_n", False, "config: grid_n must be an integer"),
+            pytest.param("top", "grid_n", 16.9, "config: grid_n: n_r must be an integer",
+                         id="top-grid_n-16.9-config: grid_n must be an integer"),
+            pytest.param("top", "grid_n", False, "config: grid_n: n_r must be an integer",
+                         id="top-grid_n-False-config: grid_n must be an integer"),
             ("top", "grid_n", 1, "config: grid_n: n_r must be >= 2, got 1"),
             ("top", "grid", 16, "config: unknown key 'grid'"),
             ("top", "phantom", DELETE, "config: missing key 'phantom'"),
@@ -243,6 +254,20 @@ class TestConfig:
                 record_every=r.get("record_every", 100),
             )
             assert run.noise == NoiseSpec(variance_fraction=r["variance_fraction"], seed=r["seed"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_perturbed_record_builds_or_raises_value_error(self, data):
+        # the Python path: a record built from any value either holds the
+        # field's type or raises ValueError, never another exception
+        record = data.draw(st.sampled_from(sorted(RECORD_FIELDS, key=lambda r: r.__name__)), label="record")
+        key = data.draw(st.sampled_from(sorted(RECORD_FIELDS[record])), label="field")
+        value = data.draw(PLAUSIBLE | JSON_VALUES, label="value")
+        try:
+            got = record(**{**RECORD_FIELDS[record], key: value})
+        except ValueError:
+            return
+        assert type(getattr(got, key)) is type(RECORD_FIELDS[record][key])
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -433,8 +458,13 @@ class TestVerifyBounds:
             assert ratio <= 1.0, name
 
     def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            verify_bounds(seed=1, trials=0)
+        for trials, message in [
+            (0, "trials must be >= 1, got 0"),
+            (2.5, "trials must be an integer, got 2.5"),
+            (True, "trials must be an integer, got True"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_bounds(seed=1, trials=trials)
 
     def test_trials_drawn_through_public_stream(self, monkeypatch):
         # verify_bounds draws its trials from analytic.random_step_profiles,

@@ -13,12 +13,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from abeltv import (
     DualField,
+    ExperimentConfig,
     GridRZ,
     GridXYZ,
     NoiseSpec,
     ProjectionField,
     RadialField,
+    RunSpec,
+    Shape,
     SolverParams,
+    builtin_phantom,
     indicator_family,
     make_grids,
     revolve,
@@ -64,12 +68,20 @@ class TestMakeGrids:
             assert g3.n == grid.n_r
 
 
-# the records that hold counts, each with admissible fields
+# the records that hold counts, numbers or other records, each with admissible fields
 _RECORDS = {
     GridRZ: {"n_r": 8},
     GridXYZ: {"n": 8},
     SolverParams: {"lam": 80.0, "tau": 0.2, "gamma": 0.2, "max_iter": 5000, "record_every": 100},
     NoiseSpec: {"variance_fraction": 0.001, "seed": 7},
+    Shape: {"kind": "rect", "r": (0.0, 0.5), "z": (-0.5, 0.5), "level": 1.0},
+}
+_RECORDS[RunSpec] = {"solver": SolverParams(**_RECORDS[SolverParams]), "noise": NoiseSpec(**_RECORDS[NoiseSpec])}
+_RECORDS[ExperimentConfig] = {
+    "grid_n": 16,
+    "phantom": builtin_phantom("nested-annuli"),
+    "runs": (RunSpec(**_RECORDS[RunSpec]),),
+    "output_dir": "out",
 }
 
 
@@ -92,6 +104,43 @@ _RECORDS = {
         (GridXYZ, "n", 8.0, None),
         (SolverParams, "max_iter", 5000.0, None),
         (NoiseSpec, "seed", 7.0, None),
+        # every other number is finite, and a bool or a string is no number
+        *(
+            (record, field, value, f"{field} must be {rule}, got {value!r}")
+            for record, field in [
+                (SolverParams, "lam"),
+                (SolverParams, "tau"),
+                (SolverParams, "gamma"),
+                (NoiseSpec, "variance_fraction"),
+                (Shape, "level"),
+            ]
+            for value, rule in [
+                (True, "a number"),
+                ("80", "a number"),
+                (None, "a number"),
+                (math.nan, "finite"),
+                (math.inf, "finite"),
+            ]
+        ),
+        # an int beyond the float range is not finite either
+        pytest.param(SolverParams, "lam", 10**400, f"lam must be finite, got {10**400!r}", id="lam-10**400"),
+        (Shape, "r", ("0", "0.5"), "r must be a number, got '0'"),
+        (Shape, "r", (0, 0.5, 9), "r must be a pair of two numbers, got (0, 0.5, 9)"),
+        (Shape, "level", np.float32(1.0), None),
+        # records that hold records check what they hold
+        (ExperimentConfig, "phantom", "nested-annuli", "phantom must be a sequence of Shapes, got 'nested-annuli'"),
+        (
+            ExperimentConfig,
+            "phantom",
+            ({"kind": "rect"},),
+            "phantom must be a sequence of Shapes, got ({'kind': 'rect'},)",
+        ),
+        (ExperimentConfig, "runs", (None,), "runs must be a sequence of RunSpecs, got (None,)"),
+        (ExperimentConfig, "output_dir", 5, "output_dir must be a str or os.PathLike, got 5"),
+        (RunSpec, "solver", None, "solver must be a SolverParams, got None"),
+        (RunSpec, "noise", None, "noise must be a NoiseSpec, got None"),
+        # a list is stored as a tuple, so the config hashes
+        (ExperimentConfig, "phantom", list(builtin_phantom("nested-annuli")), None),
     ],
 )
 def test_records_hold_integer_counts(record, field, value, message):
@@ -102,7 +151,8 @@ def test_records_hold_integer_counts(record, field, value, message):
         return
     got = record(**kwargs)
     assert got == record(**_RECORDS[record])
-    assert type(getattr(got, field)) is int
+    assert hash(got) == hash(record(**_RECORDS[record]))
+    assert type(getattr(got, field)) is type(_RECORDS[record][field])
 
 
 class TestFieldContainers:
