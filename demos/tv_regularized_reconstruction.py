@@ -6,6 +6,7 @@ triangular system) and by the primal-dual TV solver, and compares the
 reconstruction errors. Field dumps land next to this script as CSV.
 """
 
+import time
 from pathlib import Path
 
 from abeltv import (
@@ -38,7 +39,9 @@ print(f"noise: ||f - f0||_l2(V_h) = {norm_l2_vh(f.values - f0.values, grid.h):.5
 
 u_op = solve_onion_peeling(A, f)
 params = SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=3000, record_every=500)
+t0 = time.perf_counter()
 result = solve_tv(A, f, params)
+solve_s = time.perf_counter() - t0
 
 
 def err_uh(u):
@@ -48,7 +51,7 @@ def err_uh(u):
 
 print(f"onion peeling error  ||u - u0||_l2(U_h) = {err_uh(u_op):.4f}")
 print(f"TV solver error      ||u - u0||_l2(U_h) = {err_uh(result.u_star):.4f}  "
-      f"({result.iterations_run} iterations, {result.wall_time:.1f}s)")
+      f"({result.iterations_run} iterations, {solve_s:.1f}s)")
 print(f"energy: E(u*) = {result.final_energy:.5f} vs E(u0) = "
       f"{energy(u0, A, f, params.lam):.5f}  (minimizer beats the truth)")
 print("energy trace:", ", ".join(f"{it}:{e:.4f}" for it, e in result.energy_trace))

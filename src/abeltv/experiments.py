@@ -9,7 +9,7 @@
   status ``failed:<ErrorClass>`` and is never omitted);
 * per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``; u0 is the same
-  phantom in every run, rendered once and copied.
+  phantom in every run, rendered once per experiment.
 
 This module is the only one that knows that layout. Every record checks
 its own fields, so a config that constructs, parsed or built in Python, can
@@ -17,9 +17,10 @@ run, and a malformed or inadmissible one is rejected with a ValueError
 naming the field before anything is computed or written. The JSON parser
 checks only object keys, lists and the phantom's name-or-object form.
 
-Independent runs share the rasterized phantom and Abel matrix; per-run
-noise is keyed by the run's own seed, so results are bit-reproducible for
-identical configs run with the same BLAS thread count.
+Each run is a total job over shared read-only inputs (A, u0, f0 and u0's
+dump): it passes nothing on and returns any Exception as its failed
+outcome. Its noise is keyed by its own seed, so results are bit-reproducible
+for identical configs run with the same BLAS thread count.
 
 ``verify_bounds`` drives the analytic inequality suites and returns each
 check's ratio, which must stay <= 1.
@@ -30,18 +31,18 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic
-from .grids import GridRZ, make_grids
+from .grids import GridRZ, _shown, make_grids
 from .metrics import BoundReport, bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
-from .solver import SolveResult, SolverParams, solve_tv
+from .solver import SolverParams, solve_tv
 
 __all__ = [
     "RunSpec",
@@ -67,7 +68,7 @@ class RunSpec:
     def __post_init__(self):
         for name, kind in (("solver", SolverParams), ("noise", NoiseSpec)):
             if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(getattr(self, name))}")
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,12 @@ class ExperimentConfig:
         for name, kind in (("phantom", Shape), ("runs", RunSpec)):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
-                raise ValueError(f"{name} must be a sequence of {kind.__name__}s, got {value!r}")
+                raise ValueError(f"{name} must be a sequence of {kind.__name__}s, got {_shown(value)}")
             object.__setattr__(self, name, tuple(value))
         if not self.runs:
             raise ValueError("runs must be nonempty")
         if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise ValueError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
+            raise ValueError(f"output_dir must be a str or os.PathLike, got {_shown(self.output_dir)}")
         try:
             grid = GridRZ(self.grid_n)
             _check_support(self.phantom, grid)
@@ -178,57 +179,51 @@ class RunOutcome:
     report: BoundReport | None
     energy_final: float
     iterations: int
-    solve_s: float  # solve_tv's wall time; nan for a failed run
+    solve_s: float  # wall time of the solve_tv call; nan for a failed run
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     """Execute every run in the config and return their outcomes in config
-    order; see module docstring for outputs.
-
-    Any exception raised in a run marks that run ``failed:<ErrorClass>`` in
-    results.csv and the returned outcomes; the remaining runs continue.
-    results.csv is replaced after every run, so an interrupted experiment
-    keeps the rows of the runs it finished.
-    """
+    order; see module docstring for outputs. A failed run does not stop the
+    rest, and results.csv is replaced after every run, so an interrupted
+    experiment keeps the rows of the runs it finished."""
     grid, g3 = make_grids(cfg.grid_n)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(cfg.phantom, grid)
     f0 = apply_abel(A, u0)
+    u0_csv = b"".join(u0._csv())
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes: list[RunOutcome] = []
     rows = [RESULTS_HEADER]
-    u0_csv = None  # a finished run's u0 dump, which later runs copy
     for i, run in enumerate(cfg.runs):
-        try:
-            outcome = _run(i, run, A, u0, f0, g3, out_dir, u0_csv)
-            u0_csv = out_dir / f"run{i:02d}_u0.csv"
-        except Exception as exc:
-            outcome = RunOutcome(f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
-        outcomes.append(outcome)
-        rows.append(_results_row(run.noise.variance_fraction, outcome))
+        outcomes.append(_run(i, run, A, u0, u0_csv, f0, g3, out_dir))
+        rows.append(_results_row(run.noise.variance_fraction, outcomes[-1]))
         tmp = out_dir / "results.csv.tmp"
         tmp.write_text("\n".join(rows) + "\n")
         os.replace(tmp, out_dir / "results.csv")
     return outcomes
 
 
-def _run(i: int, run: RunSpec, A, u0, f0, g3, out_dir: Path, u0_csv: Path | None) -> RunOutcome:
-    """Solve, report and dump run ``i``; its u0 dump is a copy of ``u0_csv``
-    when an earlier run wrote one."""
-    f = add_noise(f0, run.noise)
-    result = solve_tv(A, f, run.solver)
-    f_star = apply_abel(A, result.u_star)
-    report = bound_report(result.u_star, u0, f_star, f, f0, g3)
-    _write_energy_trace(result, out_dir / f"run{i:02d}_energy.csv")
-    if u0_csv is None:
-        u0.to_csv(out_dir / f"run{i:02d}_u0.csv")
-    else:
-        shutil.copyfile(u0_csv, out_dir / f"run{i:02d}_u0.csv")
-    for name, field in (("ustar", result.u_star), ("f", f), ("fstar", f_star)):
-        field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
-    return RunOutcome("ok", report, result.final_energy, result.iterations_run, result.wall_time)
+def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> RunOutcome:
+    """Solve, report and dump run ``i`` from the shared inputs, ``u0_csv``
+    being u0's dump; any Exception is returned as the failed outcome."""
+    try:
+        f = add_noise(f0, run.noise)
+        t0 = time.perf_counter()
+        result = solve_tv(A, f, run.solver)
+        solve_s = time.perf_counter() - t0
+        f_star = apply_abel(A, result.u_star)
+        report = bound_report(result.u_star, u0, f_star, f, f0, g3)
+        trace = ["iteration,energy", *(f"{it},{float(e)!r}" for it, e in result.energy_trace)]
+        (out_dir / f"run{i:02d}_energy.csv").write_text("\n".join(trace) + "\n")
+        (out_dir / f"run{i:02d}_u0.csv").write_bytes(u0_csv)
+        for name, field in (("ustar", result.u_star), ("f", f), ("fstar", f_star)):
+            field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
+    except Exception as exc:
+        return RunOutcome(f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
+    return RunOutcome("ok", report, result.final_energy, result.iterations_run, solve_s)
 
 
 def _results_row(variance_fraction: float, out: RunOutcome) -> str:
@@ -237,11 +232,6 @@ def _results_row(variance_fraction: float, out: RunOutcome) -> str:
     quantities = [getattr(out.report, name, math.nan) for name in _REPORT_COLUMNS]
     floats = [variance_fraction, *quantities, out.energy_final]
     return ",".join([*(repr(float(v)) for v in floats), str(out.iterations), out.status])
-
-
-def _write_energy_trace(result: SolveResult, path: Path) -> None:
-    lines = ["iteration,energy", *(f"{it},{float(e)!r}" for it, e in result.energy_trace)]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def verify_bounds(seed: int, trials: int) -> dict[str, float]:

@@ -14,9 +14,9 @@ All computations live on the unit cylinder. Two grids appear:
   an array of shape (2n+1, 2n+1, n+1).
 
 Every number a record holds follows one of two value rules, whose
-ValueError names the field: ``_integer`` for counts (an int or an integral
-float, stored as an int, not below a bound) and ``_real`` for the rest (an
-int or a float, numpy's included, stored as a finite float).
+ValueError names the field: ``_integer`` for counts (an integral int or
+float, numpy's included, stored as an int, not below a bound) and ``_real``
+for the rest (an int or a float, numpy's included, stored as a finite float).
 
 Field containers are immutable after construction and safe to share across
 threads; like every record holding arrays, they compare by identity and
@@ -59,13 +59,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shown(value) -> str:
+    """``repr(value)``, but never raising: an int past str's digit limit shows its bit length."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"an int of {value.bit_length()} bits" if isinstance(value, int) else object.__repr__(value)
+
+
 def _integer(value, name: str, low: int | None = None) -> int:
-    """An int or an integral float, as an int not below ``low``; anything
-    else, a bool included, raises ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    """An integral int or float, numpy's included, as an int not below
+    ``low``; anything else, a bool included, raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or value % 1:
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {int(value)}")
+        raise ValueError(f"{name} must be >= {low}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -73,13 +81,13 @@ def _real(value, name: str) -> float:
     """An int or a float, numpy scalars included, as a finite float; a bool,
     anything else or a non-finite value raises ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
     return number
 
 
@@ -173,17 +181,20 @@ class _Field2D:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write ``# grid ...`` header plus one comma-separated line per row,
-        a few whole rows at a time."""
+        """Write ``# grid ...`` header plus one comma-separated line per row."""
+        with open(path, "wb") as fh:
+            fh.writelines(self._csv())
+
+    def _csv(self):
+        """``to_csv``'s bytes: the header, then a few whole rows at a time."""
         from ._shortest import format_rows  # here, so that `import abeltv` does not compile it
 
         g = self.grid
         rows = self.values.reshape(-1, g.n_z)
         step = max(1, _CSV_CHUNK // g.n_z)
-        with open(path, "wb") as fh:
-            fh.write(f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}\n".encode())
-            for start in range(0, len(rows), step):
-                fh.write(format_rows(rows[start : start + step]))
+        yield f"# grid n_r={g.n_r} n_z={g.n_z} h={g.h!r}\n".encode()
+        for start in range(0, len(rows), step):
+            yield format_rows(rows[start : start + step])
 
     @classmethod
     def from_csv(cls, path):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridRZ, ProjectionField, RadialField, _integer, _real
+from .grids import GridRZ, ProjectionField, RadialField, _integer, _real, _shown
 
 __all__ = [
     "Shape",
@@ -58,7 +58,7 @@ class Shape:
         for name in ("r", "z"):
             pair = getattr(self, name)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValueError(f"{name} must be a pair of two numbers, got {pair!r}")
+                raise ValueError(f"{name} must be a pair of two numbers, got {_shown(pair)}")
             lo, hi = (_real(v, name) for v in pair)
             object.__setattr__(self, name, (lo, hi))
             if self.kind == "half_ellipse" and hi <= 0.0:
@@ -97,7 +97,7 @@ class NoiseSpec:
             raise ValueError(f"variance_fraction must be >= 0, got {vf}")
         seed = _integer(self.seed, "seed")
         if not 0 <= seed < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+            raise ValueError(f"seed must lie in [0, 2**128), got {_shown(seed)}")
         object.__setattr__(self, "variance_fraction", vf)
         object.__setattr__(self, "seed", seed)
 

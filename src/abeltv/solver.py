@@ -48,7 +48,6 @@ peaks at about eight arrays plus K (8.6 MB at n_r = 256).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,6 @@ class SolveResult:
     energy_trace: tuple
     final_energy: float
     iterations_run: int
-    wall_time: float
 
 
 def project_unit_ball(p: np.ndarray) -> np.ndarray:
@@ -192,7 +190,6 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         If an iterate becomes non-finite; the offending iteration is named.
     """
     _check_size(A, f)
-    t0 = time.perf_counter()
     grid = f.grid
     tau, gamma, lam = params.tau, params.gamma, params.lam
     K = _primal_operator(A, tau, lam)
@@ -226,7 +223,6 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         u, u_new = u_new, u
         if it % params.record_every == 0 or it == params.max_iter:
             trace.append((it, _energy(u, A.entries, f.values, lam, grid.h, p, u_new)))
-    wall = time.perf_counter() - t0
     del K, c, u_new, wq, p
 
     return SolveResult(
@@ -235,7 +231,6 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         energy_trace=tuple(trace),
         final_energy=trace[-1][1],
         iterations_run=params.max_iter,
-        wall_time=wall,
     )
 
 

@@ -25,7 +25,7 @@ from abeltv import (
 )
 from abeltv.cli import main
 from abeltv.experiments import RESULTS_HEADER
-from abeltv.grids import RadialField
+from abeltv.grids import ProjectionField, RadialField
 from abeltv.metrics import DegenerateInstanceError
 from abeltv.solver import SolverDivergedError
 
@@ -387,20 +387,37 @@ class TestRunExperiment:
         assert results[2].endswith("ok")
 
     def test_u0_rendered_once_and_copied(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
-        rendered = []
-        to_csv = RadialField.to_csv
+        # u0 is rendered once per experiment, also when run 0 fails after
+        # writing its u0 dump (its f dump raises, once)
+        phantoms, rendered, failures = [], [], []
+        rasterize, csv, to_csv = experiments.rasterize_phantom, RadialField._csv, ProjectionField.to_csv
 
-        def recording(field, path):
-            rendered.append(Path(path).name)
+        def recording_rasterize(*args):
+            phantoms.append(rasterize(*args))
+            return phantoms[-1]
+
+        def recording_csv(field):
+            rendered.append(field)
+            return csv(field)
+
+        def failing_once(field, path):
+            if failures:
+                raise failures.pop()
             to_csv(field, path)
 
-        monkeypatch.setattr(RadialField, "to_csv", recording)
-        run_experiment(cfg)
-        assert [name for name in rendered if "u0" in name] == ["run00_u0.csv"]
-        first = (cfg.output_dir / "run00_u0.csv").read_bytes()
-        assert (cfg.output_dir / "run01_u0.csv").read_bytes() == first
-        assert RadialField.from_csv(cfg.output_dir / "run01_u0.csv").grid.n_r == 16
+        monkeypatch.setattr(experiments, "rasterize_phantom", recording_rasterize)
+        monkeypatch.setattr(RadialField, "_csv", recording_csv)
+        monkeypatch.setattr(ProjectionField, "to_csv", failing_once)
+        for case, statuses in [("ok", ["ok", "ok"]), ("fail", ["failed:OSError", "ok"])]:
+            phantoms.clear()
+            rendered.clear()
+            failures[:] = [OSError("disk full")] if case == "fail" else []
+            cfg = ExperimentConfig.from_dict(small_config(tmp_path / case))
+            assert [o.status for o in run_experiment(cfg)] == statuses
+            assert len(phantoms) == 1 and sum(field is phantoms[0] for field in rendered) == 1
+            first = (cfg.output_dir / "run00_u0.csv").read_bytes()
+            assert (cfg.output_dir / "run01_u0.csv").read_bytes() == first
+            assert RadialField.from_csv(cfg.output_dir / "run01_u0.csv").grid.n_r == 16
 
     def test_any_exception_in_a_run_is_isolated(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))

@@ -141,6 +141,19 @@ _RECORDS[ExperimentConfig] = {
         (RunSpec, "noise", None, "noise must be a NoiseSpec, got None"),
         # a list is stored as a tuple, so the config hashes
         (ExperimentConfig, "phantom", list(builtin_phantom("nested-annuli")), None),
+        # a count takes every scalar type a number takes, numpy's float32 included
+        (GridRZ, "n_r", np.float32(8.0), None),
+        (SolverParams, "max_iter", np.float32(5000.0), None),
+        (GridRZ, "n_r", np.float16(2.5), "n_r must be an integer, got np.float16(2.5)"),
+        # a value past the int -> str digit limit is shown by its size, under its field
+        *(
+            pytest.param(record, field, value, f"{field} must {rule}, got an int of 16610 bits", id=f"{field}-huge")
+            for record, field, value, rule in [
+                (SolverParams, "lam", 10**5000, "be finite"),
+                (NoiseSpec, "seed", 10**5000, "lie in [0, 2**128)"),
+                (GridRZ, "n_r", -(10**5000), "be >= 2"),
+            ]
+        ),
     ],
 )
 def test_records_hold_integer_counts(record, field, value, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
 
 from abeltv import (
+    DualField,
     NoiseSpec,
     ProjectionField,
     RadialField,
@@ -113,6 +115,14 @@ class TestSolveTV:
         assert r1.energy_trace == r2.energy_trace
         assert r1.final_energy == r2.final_energy
         assert r1.iterations_run == r2.iterations_run == 200
+        # every field, the dual included: nothing in the result is not a
+        # function of (A, f, params)
+        for field in dataclasses.fields(r1):
+            a, b = getattr(r1, field.name), getattr(r2, field.name)
+            if isinstance(a, (RadialField, DualField)):  # fields compare by identity
+                assert a.grid == b.grid
+                a, b = a.values.tobytes(), b.values.tobytes()
+            assert a == b, field.name
 
     def test_final_energy_is_energy_of_result(self):
         grid, A, u0, f0, f = noisy_instance(16)
