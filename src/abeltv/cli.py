@@ -35,10 +35,10 @@ def _cmd_run(args, error) -> int:
     except OSError as exc:
         error(f"--config {args.config}: output_dir: {exc}")
     outcomes = run_experiment(cfg)
-    for i, (out, run) in enumerate(zip(outcomes, cfg.runs)):
-        r = out.report  # None for a failed run
-        detail = f" err_l2_uh={r.err_l2_uh:.6f} c_star={r.c_star:.4f} solve={out.solve_s:.3f}s" if r else ""
-        print(f"run {i}: sigma2_frac={run.noise.variance_fraction:g}{detail} status={out.status}")
+    for i, out in enumerate(outcomes):
+        detail = f" err_l2_uh={out.err_l2_uh:.6f} c_star={out.c_star:.4f} solve={out.solve_s:.3f}s" if out.status == "ok" else ""
+        reason = f": {out.reason}" if out.reason else ""
+        print(f"run {i}: sigma2_frac={out.sigma2_frac:g}{detail} status={out.status}{reason}")
     print(f"results written to {cfg.output_dir / 'results.csv'}")
     return 0 if all(o.status == "ok" for o in outcomes) else 1
 

@@ -3,10 +3,10 @@
 ``run_experiment`` executes a batch of reconstruction runs described by an
 ``ExperimentConfig`` and writes, under the configured output directory:
 
-* ``results.csv`` with header
-  ``sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status``
-  (one row per run, rewritten after every run; a run that raised carries
-  status ``failed:<ErrorClass>`` and is never omitted);
+* ``results.csv``, one row per run, rewritten after every run: the leading
+  fields of the run's ``RunOutcome``, whose names make the header. A run
+  that raised is never omitted: its record has nan quantities, ``iterations``
+  0, status ``failed:<ErrorClass>`` and the exception message as ``reason``;
 * per-run energy traces ``run<ii>_energy.csv`` (``iteration,energy``);
 * per-run field dumps ``run<ii>_{u0,ustar,f,fstar}.csv``; u0 is the same
   phantom in every run, rendered once per experiment.
@@ -32,14 +32,14 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic
 from .grids import GridRZ, _shown, make_grids
-from .metrics import BoundReport, bound_report
+from .metrics import bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
 from .solver import SolverParams, solve_tv
@@ -52,10 +52,6 @@ __all__ = [
     "verify_bounds",
     "RESULTS_HEADER",
 ]
-
-RESULTS_HEADER = "sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status"
-# BoundReport fields in results.csv column order, after sigma2_frac
-_REPORT_COLUMNS = ("err_l2_uh", "resid_l2_vh", "m1", "c", "m", "c_star")
 
 
 @dataclass(frozen=True)
@@ -175,11 +171,25 @@ _RUN_KEYS = ("variance_fraction", "lambda", "tau", "gamma", "max_iter", "seed", 
 
 @dataclass(frozen=True)
 class RunOutcome:
-    status: str  # "ok" or "failed:<ErrorClass>"
-    report: BoundReport | None
+    """One run's record; its first ten fields, by name and in order, are
+    the results.csv columns."""
+
+    sigma2_frac: float
+    err_l2_uh: float
+    resid_l2_vh: float
+    M1: float
+    c: float
+    M: float
+    c_star: float
     energy_final: float
     iterations: int
+    status: str  # "ok" or "failed:<ErrorClass>"
     solve_s: float  # wall time of the solve_tv call; nan for a failed run
+    reason: str  # the exception message of a failed run; "" for an ok run
+
+
+_COLUMNS = [f.name for f in fields(RunOutcome)[:10]]
+RESULTS_HEADER = ",".join(_COLUMNS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
@@ -199,7 +209,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     rows = [RESULTS_HEADER]
     for i, run in enumerate(cfg.runs):
         outcomes.append(_run(i, run, A, u0, u0_csv, f0, g3, out_dir))
-        rows.append(_results_row(run.noise.variance_fraction, outcomes[-1]))
+        rows.append(",".join(str(getattr(outcomes[-1], name)) for name in _COLUMNS))  # str(float) is repr(float)
         tmp = out_dir / "results.csv.tmp"
         tmp.write_text("\n".join(rows) + "\n")
         os.replace(tmp, out_dir / "results.csv")
@@ -209,6 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
 def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> RunOutcome:
     """Solve, report and dump run ``i`` from the shared inputs, ``u0_csv``
     being u0's dump; any Exception is returned as the failed outcome."""
+    vf = run.noise.variance_fraction
     try:
         f = add_noise(f0, run.noise)
         t0 = time.perf_counter()
@@ -222,16 +233,8 @@ def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> R
         for name, field in (("ustar", result.u_star), ("f", f), ("fstar", f_star)):
             field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
     except Exception as exc:
-        return RunOutcome(f"failed:{type(exc).__name__}", None, math.nan, 0, math.nan)
-    return RunOutcome("ok", report, result.final_energy, result.iterations_run, solve_s)
-
-
-def _results_row(variance_fraction: float, out: RunOutcome) -> str:
-    """One results.csv row; a failed run has no report, so its report
-    columns read nan."""
-    quantities = [getattr(out.report, name, math.nan) for name in _REPORT_COLUMNS]
-    floats = [variance_fraction, *quantities, out.energy_final]
-    return ",".join([*(repr(float(v)) for v in floats), str(out.iterations), out.status])
+        return RunOutcome(vf, *[math.nan] * 7, 0, f"failed:{type(exc).__name__}", math.nan, str(exc))
+    return RunOutcome(vf, *astuple(report), result.final_energy, result.iterations_run, "ok", solve_s, "")
 
 
 def verify_bounds(seed: int, trials: int) -> dict[str, float]:

@@ -70,7 +70,9 @@ def _shown(value) -> str:
 def _integer(value, name: str, low: int | None = None) -> int:
     """An integral int or float, numpy's included, as an int not below
     ``low``; anything else, a bool included, raises ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or value % 1:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or (
+        not abs(value) < math.inf or value % 1  # inf and nan fail before the %, which warns on numpy's
+    ):
         raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {_shown(int(value))}")

@@ -86,22 +86,23 @@ def norm_linf(u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """The per-run quantities entering the error-bound check.
+    """The per-run quantities entering the error-bound check, in the order
+    ``experiments.RunOutcome`` holds them.
 
-    c : max TV seminorm of u* and u0
-    m : max sup norm of u* and u0
-    m1 : (||f* - f|| + ||f - f0||)^(1/3), l2(V_h) norms
     err_l2_uh : ||u* - u0|| over the revolved Cartesian grid
     resid_l2_vh : ||f* - f||_{l2(V_h)}
+    m1 : (||f* - f|| + ||f - f0||)^(1/3), l2(V_h) norms
+    c : max TV seminorm of u* and u0
+    m : max sup norm of u* and u0
     c_star : err_l2_uh / (m1 * (4 c m)^(1/3))
     """
 
-    c: float
-    m: float
-    m1: float
-    c_star: float
     err_l2_uh: float
     resid_l2_vh: float
+    m1: float
+    c: float
+    m: float
+    c_star: float
 
 
 def bound_report(
@@ -133,11 +134,4 @@ def bound_report(
         raise DegenerateInstanceError(
             "c_star denominator vanishes (u* = u0 = 0 with exact data?)"
         )
-    return BoundReport(
-        c=c,
-        m=m,
-        m1=m1,
-        c_star=err / denom,
-        err_l2_uh=err,
-        resid_l2_vh=resid,
-    )
+    return BoundReport(err_l2_uh=err, resid_l2_vh=resid, m1=m1, c=c, m=m, c_star=err / denom)

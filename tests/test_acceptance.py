@@ -207,11 +207,11 @@ def test_criterion_6_solver_convergence_rate(convergence64):
 def test_criterion_7_error_bound_reproduction(experiment128):
     cfg, outcomes, elapsed = experiment128
     assert all(o.status == "ok" for o in outcomes)
-    reports = [o.report for o in outcomes]
+    reports = outcomes  # each run's record holds its bound_report quantities
     for rep in reports:
         assert rep.c_star <= 1.07
         assert 0.0 < rep.c_star < 0.6
-        assert rep.m == 1.0
+        assert rep.M == 1.0
     errs = [rep.err_l2_uh for rep in reports]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert elapsed < 900.0
@@ -237,7 +237,7 @@ def test_criterion_8_tv_beats_onion_peeling(experiment128):
     u_op = solve_onion_peeling(A, f)
     diff = RadialField(grid, u_op.values - u0.values)
     err_op = norm_l2_uh(revolve(diff, g3), grid.h)
-    err_tv = outcomes[idx].report.err_l2_uh
+    err_tv = outcomes[idx].err_l2_uh
     elapsed = time.perf_counter() - t0
     assert err_tv < err_op
     report(8, elapsed, f"TV error {err_tv:.4f} < onion-peeling error {err_op:.4f} at 0.05% noise")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -18,7 +19,11 @@ from abeltv import (
     RunSpec,
     Shape,
     SolverParams,
+    apply_abel,
+    bound_report,
+    build_abel_matrix,
     builtin_phantom,
+    make_grids,
     rasterize_phantom,
     run_experiment,
     verify_bounds,
@@ -281,7 +286,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         outcomes = run_experiment(cfg)
         assert [o.status for o in outcomes] == ["ok", "ok"]
-        assert all(o.report is not None for o in outcomes)
+        assert all(math.isfinite(o.c_star) for o in outcomes)
 
         results = (cfg.output_dir / "results.csv").read_text().splitlines()
         assert results[0] == RESULTS_HEADER
@@ -319,21 +324,31 @@ class TestRunExperiment:
     def test_csv_row_order(self, tmp_path):
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         outcomes = run_experiment(cfg)
-        rows = (cfg.output_dir / "results.csv").read_text().splitlines()[1:]
+        with open(cfg.output_dir / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(outcomes)
         for row, run, out in zip(rows, cfg.runs, outcomes):
-            cols = row.split(",")
-            rep = out.report
-            assert [float(c) for c in cols[:8]] == [
-                run.noise.variance_fraction,
-                rep.err_l2_uh,
-                rep.resid_l2_vh,
-                rep.m1,
-                rep.c,
-                rep.m,
-                rep.c_star,
-                out.energy_final,
-            ]
-            assert cols[8:] == [str(out.iterations), "ok"]
+            assert out.sigma2_frac == run.noise.variance_fraction
+            for name in RESULTS_HEADER.split(","):
+                if name in ("iterations", "status"):
+                    assert row[name] == str(getattr(out, name))
+                else:
+                    assert float(row[name]) == getattr(out, name)
+            assert row["status"] == "ok"
+
+    def test_record_holds_the_bound_report_of_its_dumps(self, tmp_path):
+        # the record takes bound_report's fields by position, so this pins
+        # each column to the quantity of its name
+        cfg = ExperimentConfig.from_dict(small_config(tmp_path))
+        grid, g3 = make_grids(cfg.grid_n)
+        f0 = apply_abel(build_abel_matrix(grid), rasterize_phantom(cfg.phantom, grid))
+        for i, out in enumerate(run_experiment(cfg)):
+            u_star, u0 = (RadialField.from_csv(cfg.output_dir / f"run{i:02d}_{name}.csv") for name in ("ustar", "u0"))
+            f_star, f = (ProjectionField.from_csv(cfg.output_dir / f"run{i:02d}_{name}.csv") for name in ("fstar", "f"))
+            rep = bound_report(u_star, u0, f_star, f, f0, g3)
+            assert (out.err_l2_uh, out.resid_l2_vh, out.M1, out.c, out.M, out.c_star) == (
+                rep.err_l2_uh, rep.resid_l2_vh, rep.m1, rep.c, rep.m, rep.c_star
+            )
 
     def test_energy_trace_csv(self, tmp_path):
         runs = [
@@ -363,7 +378,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict({**small_config(tmp_path, runs=runs), "grid_n": 32})
         (outcome,) = run_experiment(cfg)
         assert outcome.status == "ok"
-        assert outcome.report.err_l2_uh <= 0.02
+        assert outcome.err_l2_uh <= 0.02
 
     def test_failed_run_recorded_and_others_continue(self, tmp_path, monkeypatch):
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
@@ -379,7 +394,8 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "solve_tv", flaky)
         outcomes = run_experiment(cfg)
         assert [o.status for o in outcomes] == ["failed:SolverDivergedError", "ok"]
-        assert outcomes[0].report is None
+        assert outcomes[0].reason == "non-finite iterate at iteration 7" and outcomes[1].reason == ""
+        assert all(math.isnan(getattr(outcomes[0], name)) for name in RESULTS_HEADER.split(",")[1:8])
         assert math.isnan(outcomes[0].solve_s) and outcomes[1].solve_s > 0
         results = (cfg.output_dir / "results.csv").read_text().splitlines()
         assert len(results) == 3
@@ -643,6 +659,24 @@ class TestCLI:
         solve_s = [float(m) for m in re.findall(r" solve=([0-9.]+)s ", out)]
         assert len(solve_s) == 2 and all(s > 0 for s in solve_s)
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_run_subcommand_reports_a_failed_run_and_its_reason(self, tmp_path, capsys, monkeypatch):
+        real_solve = experiments.solve_tv
+        calls = {"n": 0}
+
+        def flaky(A, f, params):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise SolverDivergedError(7)
+            return real_solve(A, f, params)
+
+        monkeypatch.setattr(experiments, "solve_tv", flaky)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path)))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "run 0: sigma2_frac=0.0005 status=failed:SolverDivergedError: non-finite iterate at iteration 7"
+        assert lines[1].startswith("run 1: sigma2_frac=0.0001 ") and lines[1].endswith(" status=ok")
 
     def test_unknown_phantom_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -145,6 +145,7 @@ _RECORDS[ExperimentConfig] = {
         (GridRZ, "n_r", np.float32(8.0), None),
         (SolverParams, "max_iter", np.float32(5000.0), None),
         (GridRZ, "n_r", np.float16(2.5), "n_r must be an integer, got np.float16(2.5)"),
+        (GridRZ, "n_r", np.float64(np.inf), "n_r must be an integer, got np.float64(inf)"),
         # a value past the int -> str digit limit is shown by its size, under its field
         *(
             pytest.param(record, field, value, f"{field} must {rule}, got an int of 16610 bits", id=f"{field}-huge")
@@ -156,6 +157,7 @@ _RECORDS[ExperimentConfig] = {
         ),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_records_hold_integer_counts(record, field, value, message):
     kwargs = {**_RECORDS[record], field: value}
     if message is not None:
