@@ -15,7 +15,7 @@ All computations live on the unit cylinder. Two grids appear:
 
 Every number a record holds follows one of two value rules, whose
 ValueError names the field: ``_integer`` for counts (an integral int or
-float, numpy's included, stored as an int, not below a bound) and ``_real``
+float, numpy's included, stored as an int, within its bounds) and ``_real``
 for the rest (an int or a float, numpy's included, stored as a finite float).
 
 Field containers are immutable after construction and safe to share across
@@ -52,6 +52,11 @@ __all__ = [
 # values rendered at a time by to_csv: the kernel's temporaries stay near 1 MB
 _CSV_CHUNK = 4096
 
+# the largest n_r a run can hold: A and K are n_r^2 doubles each and a solve
+# about eight (n_r, 2 n_r + 1) arrays, some 18 n_r^2 doubles in all, 576 MiB
+# at 2048 (under 1 GiB); the benchmark's kernel table builds GridRZ(512)
+_MAX_N_R = 2048
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -67,15 +72,17 @@ def _shown(value) -> str:
         return f"an int of {value.bit_length()} bits" if isinstance(value, int) else object.__repr__(value)
 
 
-def _integer(value, name: str, low: int | None = None) -> int:
-    """An integral int or float, numpy's included, as an int not below
-    ``low``; anything else, a bool included, raises ValueError naming ``name``."""
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """An integral int or float, numpy's included, as an int in [``low``,
+    ``high``]; anything else, a bool included, raises ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or (
         not abs(value) < math.inf or value % 1  # inf and nan fail before the %, which warns on numpy's
     ):
         raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {_shown(int(value))}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -95,12 +102,12 @@ def _real(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class GridRZ:
-    """Cylindrical (r, z) grid of ``n_r`` radial cells; n_z and h derive from it."""
+    """Cylindrical (r, z) grid of ``n_r`` radial cells, 2 to ``_MAX_N_R``; n_z and h derive from it."""
 
     n_r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_r", _integer(self.n_r, "n_r", 2))
+        object.__setattr__(self, "n_r", _integer(self.n_r, "n_r", 2, _MAX_N_R))
 
     @property
     def n_z(self) -> int:
@@ -147,7 +154,7 @@ def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
     Parameters
     ----------
     n_r : int
-        Number of radial cells, at least 2. The spacing is h = 1/n_r.
+        Number of radial cells, 2 to 2048 (``_MAX_N_R``). The spacing is h = 1/n_r.
 
     Returns
     -------

@@ -121,11 +121,10 @@ def rasterize_phantom(shapes: tuple[Shape, ...], g: GridRZ) -> RadialField:
     (``_check_support``, the same check that ``ExperimentConfig`` makes).
     """
     _check_support(shapes, g)
-    R, Z = np.meshgrid(g.r_centers, g.z, indexing="ij")
-    values = np.zeros_like(R)
+    r, z = g.r_centers[:, None], g.z[None, :]
+    values = np.zeros((g.n_r, g.n_z))
     for s in shapes:
-        mask = s.contains(R, Z)
-        values[mask] = s.level
+        values[s.contains(r, z)] = s.level
     return RadialField(g, values)
 
 

@@ -206,6 +206,7 @@ class TestConfig:
                 "config: grid_n: shape Shape(kind='rect', r=(0.0, 0.95), z=(-0.5, 0.5), level=1.0) "
                 "escapes the support box [0, 0.9375) x [-0.9375, 0.9375]",
             ),
+            ("top", "grid_n", 2049, "config: grid_n: n_r must be <= 2048, got 2049"),
         ],
     )
     def test_malformed_config_rejected_before_compute(self, tmp_path, where, key, bad, message):
@@ -306,6 +307,7 @@ class TestRunExperiment:
         [
             (1, "n_r must be >= 2, got 1"),
             (2.5, "n_r must be an integer, got 2.5"),
+            pytest.param(10**30, f"n_r must be <= 2048, got {10**30}", id="10**30-too-large"),
             pytest.param(
                 3,
                 "shape Shape(kind='rect', r=(0.0, 0.72), z=(-0.75, 0.75), level=0.3) escapes the support box "
@@ -589,6 +591,7 @@ class TestCLI:
         [
             (lambda obj: obj["runs"][1].pop("seed"), "run 1: missing key 'seed'"),
             (lambda obj: obj.update(grid_n=1), "config: grid_n: n_r must be >= 2, got 1"),
+            (lambda obj: obj.update(grid_n=10**30), f"config: grid_n: n_r must be <= 2048, got {10**30}"),
             (
                 lambda obj: obj.update(grid_n=3),
                 "config: grid_n: shape Shape(kind='rect', r=(0.0, 0.72), z=(-0.75, 0.75), level=0.3) "
@@ -628,6 +631,7 @@ class TestCLI:
     def test_phantom_rejects_too_few_cells(self, tmp_path, capsys):
         cases = [
             ("nested-annuli", "1", "n_r must be >= 2, got 1"),
+            ("nested-annuli", str(10**30), f"n_r must be <= 2048, got {10**30}"),
             ("four-blobs", "5", "shape Shape(kind='half_ellipse', r=(0.2, 0.15), z=(-0.7, 0.12), level=0.4) "
              "escapes the support box [0, 0.8) x [-0.8, 0.8]"),
         ]

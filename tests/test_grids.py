@@ -61,6 +61,9 @@ class TestMakeGrids:
         assert grid.z[0] == -1.0 and grid.z[-1] == 1.0
         assert_allclose(np.diff(grid.z), grid.h)
 
+    def test_largest_grid(self):
+        assert GridRZ(2048).n_r == 2048
+
     def test_spacing_consistency(self):
         for n in (2, 3, 10, 100, 128):
             grid, g3 = make_grids(n)
@@ -154,6 +157,13 @@ _RECORDS[ExperimentConfig] = {
                 (NoiseSpec, "seed", 10**5000, "lie in [0, 2**128)"),
                 (GridRZ, "n_r", -(10**5000), "be >= 2"),
             ]
+        ),
+        # n_r is bounded above, so a config that constructs fits in memory
+        pytest.param(GridRZ, "n_r", 2049, "n_r must be <= 2048, got 2049", id="n_r-2049"),
+        pytest.param(GridRZ, "n_r", 10**30, f"n_r must be <= 2048, got {10**30}", id="n_r-10**30"),
+        pytest.param(GridRZ, "n_r", 1e30, f"n_r must be <= 2048, got {int(1e30)}", id="n_r-1e30"),
+        pytest.param(
+            ExperimentConfig, "grid_n", 10**30, f"grid_n: n_r must be <= 2048, got {10**30}", id="grid_n-10**30"
         ),
     ],
 )

@@ -130,9 +130,9 @@ class TestSolveTV:
         assert result.final_energy == energy(result.u_star, A, f, 80.0)
 
     def test_memory_peak_flat_in_iterations(self):
-        # eight (n_r, n_z) buffers, K and the finiteness mask; the loop,
-        # record points included, allocates nothing that outlives an
-        # iteration, so a longer run peaks no higher
+        # eight (n_r, n_z) buffers and K; the loop allocates nothing, and a
+        # record point (the finiteness check and the energy) nothing that
+        # outlives it, so a longer run peaks no higher
         grid, A, u0, f0, f = noisy_instance(256)
         peaks = []
         for n_iter in (10, 60):
@@ -185,6 +185,29 @@ class TestSolveTV:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDivergedError) as exc:
             solve_tv(A, f, params)
         assert exc.value.iteration >= 1
+        # finiteness is checked at record points only, and the first one
+        # with a non-finite iterate is named
+        params = SolverParams(lam=1e9, tau=0.2, gamma=0.2, max_iter=10, record_every=4)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverDivergedError) as exc:
+            solve_tv(A, f, params)
+        assert exc.value.iteration in (4, 8, 10)
+        assert str(exc.value) == f"non-finite iterate at iteration {exc.value.iteration}"
+
+    def test_record_points_only_read(self):
+        # a record point evaluates the energy in the dead p and u_new and
+        # checks u: the outputs do not depend on how often it runs
+        grid, A, u0, f0, f = noisy_instance(16)
+        results = [
+            solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=50, record_every=every))
+            for every in (1, 7, 50)
+        ]
+        outputs = {
+            (r.u_star.values.tobytes(), r.dual.values.tobytes(), np.float64(r.final_energy).tobytes(),
+             np.array(r.energy_trace[-1]).tobytes())
+            for r in results
+        }
+        assert len(outputs) == 1
+        assert [len(r.energy_trace) for r in results] == [50, 8, 1]
 
     def test_shape_mismatch(self):
         A = build_abel_matrix(make_grids(8)[0])
