@@ -6,15 +6,32 @@ a primal-dual iteration, and verifies the stability bounds and error
 estimates of the underlying theory on synthetic phantoms and closed-form
 analytic families.
 
-The public surface is each module's ``__all__``, re-exported here.
+The public surface is the union of the modules' ``__all__``, served here on
+first access (PEP 562): ``import abeltv`` loads no submodule and so no
+numpy, and a name, once looked up, is cached in this module's namespace.
 """
 
-from .analytic import *  # noqa: F403
-from .experiments import *  # noqa: F403
-from .grids import *  # noqa: F403
-from .metrics import *  # noqa: F403
-from .operators import *  # noqa: F403
-from .phantoms import *  # noqa: F403
-from .solver import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = ("analytic", "experiments", "grids", "metrics", "operators", "phantoms", "solver")
+
+
+def __getattr__(name: str):
+    if name in (*_MODULES, "cli"):  # not via the search below: cli must load before numpy
+        return importlib.import_module(f"{__name__}.{name}")
+    modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
+    if name == "__all__":
+        value = [n for m in modules for n in m.__all__]
+    else:
+        owner = next((m for m in modules if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

@@ -355,9 +355,10 @@ def bound_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
     over step profiles given as ``(edges, values)`` rows, as
     ``random_step_profiles`` yields them.
 
-    Keys: l2_product, l1_product, young_l2, young_l1. Every value must be
-    <= 1 for correct transforms; ratios above 1 indicate an implementation
-    bug, not a failure of the (proven) bounds. Profiles with zero TV are
+    Keys: l2_product_bound, l1_product_bound, young_l2, young_l1, the names
+    ``verify_bounds`` reports. Every value must be <= 1 for correct
+    transforms; ratios above 1 indicate an implementation bug, not a
+    failure of the (proven) bounds. Profiles with zero TV are
     skipped, and a product ratio whose transform norm is 0 is not formed.
     A row whose ``edges`` is not one entry longer than its ``values``, or
     that breaks the profile invariants, raises ValueError. Rows wait in one
@@ -365,7 +366,7 @@ def bound_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
     once it holds ``_BATCH_ROOTS`` square roots (P^2 * 96 per row), which
     bounds the memory held at once.
     """
-    worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
+    worst = dict.fromkeys(("l2_product_bound", "l1_product_bound", "young_l2", "young_l1"), 0.0)
     pending: dict[int, list] = {}  # piece count -> rows not yet evaluated
     for edges, values in rows:
         pieces = len(values)
@@ -399,8 +400,8 @@ def _update_worst(worst: dict, group: list) -> None:
     l2 = g_l2 > 0.0
     l1 = g_l1 > 0.0
     ratios = {
-        "l2_product": v_l2[l2] / (C_L2_2D * np.sqrt(tv[l2]) * np.sqrt(g_l2[l2])),
-        "l1_product": v_l1[l1] / (C_L1_2D * tv[l1] ** (1.0 / 3.0) * g_l1[l1] ** (2.0 / 3.0)),
+        "l2_product_bound": v_l2[l2] / (C_L2_2D * np.sqrt(tv[l2]) * np.sqrt(g_l2[l2])),
+        "l1_product_bound": v_l1[l1] / (C_L1_2D * tv[l1] ** (1.0 / 3.0) * g_l1[l1] ** (2.0 / 3.0)),
         "young_l2": g_l2 / (YOUNG_L2 * tv),
         "young_l1": g_l1 / (YOUNG_L1 * tv),
     }

@@ -16,11 +16,19 @@ plotting belongs to downstream tools.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .experiments import ExperimentConfig, run_experiment, verify_bounds
-from .grids import GridRZ
-from .phantoms import BUILTIN_PHANTOM_NAMES, builtin_phantom, rasterize_phantom
+# One BLAS thread unless the user set a count: the BLAS kernels' summation
+# order depends on it, so a run's bytes would depend on the host. numpy reads
+# the count when it loads; a process that loaded it first keeps its setting.
+if "numpy" not in sys.modules:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+from .experiments import ExperimentConfig, run_experiment, verify_bounds  # noqa: E402
+from .grids import GridRZ  # noqa: E402
+from .phantoms import BUILTIN_PHANTOM_NAMES, builtin_phantom, rasterize_phantom  # noqa: E402
 
 __all__ = ["main"]
 

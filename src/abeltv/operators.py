@@ -30,7 +30,6 @@ __all__ = [
     "AbelMatrix",
     "build_abel_matrix",
     "apply_abel",
-    "apply_abel_transpose",
     "gradient",
     "divergence",
 ]
@@ -84,12 +83,6 @@ def apply_abel(A: AbelMatrix, u: RadialField) -> ProjectionField:
     """Forward projection f = A u, applied independently per axial column."""
     _check_size(A, u)
     return ProjectionField(u.grid, A.entries @ u.values)
-
-
-def apply_abel_transpose(A: AbelMatrix, f: ProjectionField) -> np.ndarray:
-    """Exact transpose action A^T f per axial column (adjoint of apply_abel)."""
-    _check_size(A, f)
-    return A.entries.T @ f.values
 
 
 def _check_size(A: AbelMatrix, *fields) -> None:

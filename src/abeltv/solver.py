@@ -27,7 +27,8 @@ number is at most 1 + tau lambda ||A||^2 with ||A||^2 < 3.6, about 55 at
 tau = 0.2, lambda = 80 on every grid, and never more than cond(A)^2, about
 (1.1 n_r)^2, at any lambda. No randomness anywhere: for the same BLAS
 thread count, identical inputs give bit-identical iterates (the BLAS
-kernels' summation order depends on that count).
+kernels' summation order depends on that count; the ``abeltv`` commands
+pin it to one unless the user set it, and library callers keep their own).
 
 K and c are formed before anything else; with c, the iteration lives in
 eight (n_r, n_z) arrays allocated once per solve: u, u_new, one buffer for
@@ -54,14 +55,7 @@ import numpy as np
 
 from .grids import DualField, ProjectionField, RadialField, _integer, _real
 from .metrics import _tv_sum
-from .operators import (
-    AbelMatrix,
-    _cell_magnitude,
-    _check_size,
-    _divergence_into,
-    _gradient_into,
-    apply_abel_transpose,
-)
+from .operators import AbelMatrix, _cell_magnitude, _check_size, _divergence_into, _gradient_into
 
 # Not called here: the benchmark's layer trace (benchmarks/worker.py) wraps
 # these names on this module, so they stay importable from it.
@@ -193,7 +187,7 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
     grid = f.grid
     tau, gamma, lam = params.tau, params.gamma, params.lam
     K = _primal_operator(A, tau, lam)
-    c = K @ (tau * lam * apply_abel_transpose(A, f))
+    c = K @ (tau * lam * (A.entries.T @ f.values))
 
     # wq holds w until the gradient has read it, then q (module docstring)
     u = np.zeros_like(c)
@@ -230,7 +224,7 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         dual=DualField(grid, v),
         energy_trace=tuple(trace),
         final_energy=trace[-1][1],
-        iterations_run=params.max_iter,
+        iterations_run=trace[-1][0],
     )
 
 

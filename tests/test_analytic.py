@@ -84,7 +84,7 @@ def j_norms_reference(v):
 
 def bound_ratios_reference(profiles):
     """The four stability ratios' maxima, one profile at a time."""
-    worst = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
+    worst = dict.fromkeys(("l2_product_bound", "l1_product_bound", "young_l2", "young_l1"), 0.0)
     for v in profiles:
         tv = v.tv()
         if tv == 0.0:
@@ -92,10 +92,10 @@ def bound_ratios_reference(profiles):
         g_l1, g_l2 = j_norms_reference(v)
         if g_l2 > 0.0:
             r = v.norm_l2() / (C_L2_2D * math.sqrt(tv) * math.sqrt(g_l2))
-            worst["l2_product"] = max(worst["l2_product"], r)
+            worst["l2_product_bound"] = max(worst["l2_product_bound"], r)
         if g_l1 > 0.0:
             r = v.norm_l1() / (C_L1_2D * tv ** (1.0 / 3.0) * g_l1 ** (2.0 / 3.0))
-            worst["l1_product"] = max(worst["l1_product"], r)
+            worst["l1_product_bound"] = max(worst["l1_product_bound"], r)
         worst["young_l2"] = max(worst["young_l2"], g_l2 / (YOUNG_L2 * tv))
         worst["young_l1"] = max(worst["young_l1"], g_l1 / (YOUNG_L1 * tv))
     return worst
@@ -113,7 +113,7 @@ def test_import_does_not_load_scipy_integrate():
     # the package is numpy-only; scipy.integrate is the tests' oracle alone.
     # The CSV kernel in abeltv._shortest is compiled on the first dump, not
     # at start-up: a module-level import of it would slip in unseen behind
-    # the package's star re-exports.
+    # the import of the package's modules.
     loaded = "[m in sys.modules for m in ('scipy.integrate', 'abeltv._shortest')]"
     code = f"import sys, abeltv, abeltv.cli; print({loaded})"
     out = fresh_python(code)
@@ -369,8 +369,8 @@ class TestBoundConstants:
 class TestStabilityBounds:
     def test_random_profile_suite_no_violations(self):
         worst = bound_ratios(random_step_profiles(1000, seed=20240))
-        assert worst["l2_product"] <= 1.0
-        assert worst["l1_product"] <= 1.0
+        assert worst["l2_product_bound"] <= 1.0
+        assert worst["l1_product_bound"] <= 1.0
         assert worst["young_l2"] <= 1.0
         assert worst["young_l1"] <= 1.0
 
@@ -393,7 +393,7 @@ class TestStabilityBounds:
             assert want[key] > 0.0
 
     def test_ratios_of_no_profiles_or_only_zero_tv_are_zero(self):
-        zeros = dict.fromkeys(("l2_product", "l1_product", "young_l2", "young_l1"), 0.0)
+        zeros = dict.fromkeys(("l2_product_bound", "l1_product_bound", "young_l2", "young_l1"), 0.0)
         assert bound_ratios(iter(())) == zeros
         rows = [(np.array([0.0, 1.0]), np.array([0.0])), (np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.0]))]
         assert bound_ratios(rows) == zeros

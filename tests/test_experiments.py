@@ -20,10 +20,12 @@ from abeltv import (
     Shape,
     SolverParams,
     apply_abel,
+    bound_ratios,
     bound_report,
     build_abel_matrix,
     builtin_phantom,
     make_grids,
+    random_step_profiles,
     rasterize_phantom,
     run_experiment,
     verify_bounds,
@@ -486,6 +488,12 @@ class TestVerifyBounds:
         names = list(ratios)
         assert "l2_product_bound" in names and "l1_product_bound" in names
         assert any("decay_slope" in n for n in names)
+
+    def test_first_checks_are_the_bound_ratios(self):
+        # the four stability checks reach the report under bound_ratios' names
+        ratios = verify_bounds(seed=7, trials=100)
+        want = bound_ratios(random_step_profiles(100, 7))
+        assert list(ratios.items())[:4] == list(want.items())
 
     def test_ratios_reported_below_one(self):
         ratios = verify_bounds(seed=7, trials=100)

@@ -9,11 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from abeltv import (
     AbelMatrix,
     GridRZ,
-    ProjectionField,
     RadialField,
     abel_transform,
     apply_abel,
-    apply_abel_transpose,
     build_abel_matrix,
     divergence,
     gradient,
@@ -145,36 +143,6 @@ class TestApplyAbel:
         assert errs[64] <= errs[32] / 1.8
         assert errs[128] <= errs[64] / 1.8
         assert errs[256] <= errs[128] / 1.8
-
-
-class TestApplyAbelTranspose:
-    def test_zero(self):
-        grid, _ = make_grids(4)
-        A = build_abel_matrix(grid)
-        assert not apply_abel_transpose(A, ProjectionField(grid, np.zeros((4, 9)))).any()
-
-    def test_two_cell_hand_value(self):
-        grid, _ = make_grids(2)
-        A = build_abel_matrix(grid)
-        f = ProjectionField(grid, np.tile(np.array([[1.0], [0.0]]), (1, 5)))
-        out = apply_abel_transpose(A, f)
-        assert_allclose(out[:, 0], [1.0, 1.0], atol=1e-15)
-
-    def test_inner_product_adjointness(self):
-        grid, _ = make_grids(32)
-        A = build_abel_matrix(grid)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            u = RadialField(grid, rng.normal(size=(32, 65)))
-            f = ProjectionField(grid, rng.normal(size=(32, 65)))
-            lhs = np.sum(apply_abel(A, u).values * f.values)
-            rhs = np.sum(u.values * apply_abel_transpose(A, f))
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
-
-    def test_dimension_mismatch(self):
-        A = build_abel_matrix(make_grids(4)[0])
-        with pytest.raises(ValueError):
-            apply_abel_transpose(A, ProjectionField(make_grids(8)[0], np.zeros((8, 17))))
 
 
 class TestGradient:

@@ -128,6 +128,8 @@ class TestSolveTV:
         grid, A, u0, f0, f = noisy_instance(16)
         result = solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=37, record_every=10))
         assert result.final_energy == energy(result.u_star, A, f, 80.0)
+        # both facts come from the trace's last point, the final iteration
+        assert result.iterations_run == result.energy_trace[-1][0] == 37
 
     def test_memory_peak_flat_in_iterations(self):
         # eight (n_r, n_z) buffers and K; the loop allocates nothing, and a
