@@ -23,7 +23,7 @@ grid, g3 = make_grids(n_r)
 print(f"grids: {grid.n_r} radial cells, {grid.n_z} axial samples, h = {grid.h}")
 
 A = build_abel_matrix(grid)
-row_defect = np.abs(A.row_sums() - 2.0 * np.sqrt(1.0 - grid.x**2)).max()
+row_defect = np.abs(A.entries.sum(axis=1) - 2.0 * np.sqrt(1.0 - grid.x**2)).max()
 print(f"onion-peeling matrix: upper triangular, row sums = chord lengths "
       f"(max defect {row_defect:.2e})")
 

@@ -22,6 +22,9 @@ memory held at once stays bounded, and no ``PiecewiseConstantProfile``
 is built per trial (the batch pass takes a batch's piece widths once, and
 checks the profile invariants and forms the norms of v from them).
 
+``verify_bounds`` runs the whole suite that ``abeltv verify-bounds`` prints
+and maps each check's name to its ratio, which must stay <= 1.
+
 Everything here is a pure function; safe to call concurrently.
 """
 
@@ -49,6 +52,7 @@ __all__ = [
     "stieltjes_inverse",
     "random_step_profiles",
     "bound_ratios",
+    "verify_bounds",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -407,3 +411,41 @@ def _update_worst(worst: dict, group: list) -> None:
     }
     for key, r in ratios.items():
         worst[key] = max(worst[key], float(np.max(r, initial=0.0)))
+
+
+def verify_bounds(seed: int, trials: int) -> dict[str, float]:
+    """Run the analytic inequality and decay-rate suites; map each check's
+    name to its ratio, in report order.
+
+    Each check is normalized so the reported ratio must be <= 1:
+    inequality checks report the max left/right ratio over the seeded
+    random step profiles; decay-slope checks report |slope - target| over
+    the 0.02 tolerance; the sum-bound suboptimality witness reports the
+    transformed norm against the 0.1 threshold while the family's TV stays
+    pinned at 1. ``trials`` is a count >= 1.
+    """
+    ratios = bound_ratios(random_step_profiles(trials, seed))
+
+    # every indicator member the checks below use, built once; the slope
+    # members' (L1, L2) norms of J v_k, evaluated once
+    members = {k: indicator_family(k).profile for k in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)}
+    ks = (1.0, 2.0, 4.0, 8.0, 16.0)
+    g_norms = {k: j_norms(members[k]) for k in ks}
+
+    slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
+    slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
+    slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
+    ratios["decay_slope_g_l1 (-1.5 +/- 0.02)"] = abs(slope_g_l1 + 1.5) / 0.02
+    ratios["decay_slope_g_l2 (-1.0 +/- 0.02)"] = abs(slope_g_l2 + 1.0) / 0.02
+    ratios["decay_slope_v_l2 (-0.5 +/- 0.02)"] = abs(slope_v_l2 + 0.5) / 0.02
+
+    # Sum-form bounds cannot see ||v_k||_L2 -> 0 while the TV stays 1: the
+    # witness is that the transform norm collapses with the TV pinned.
+    ratios["sum_bound_witness_g16_l2 (< 0.1)"] = g_norms[16.0][1] / 0.1
+    ratios["indicator_tv_pinned (= 1)"] = abs(members[16.0].tv() - 1.0) / 1e-12
+
+    # Product-bound tightness on the indicator family: the ratio is a
+    # k-independent constant strictly below 1.
+    tight = [(members[k].edges, members[k].values) for k in (4.0, 16.0, 64.0, 256.0)]
+    ratios["indicator_l2_ratio (< 1)"] = bound_ratios(tight)["l2_product_bound"]
+    return ratios

@@ -26,7 +26,8 @@ if "numpy" not in sys.modules:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
 
-from .experiments import ExperimentConfig, run_experiment, verify_bounds  # noqa: E402
+from .analytic import verify_bounds  # noqa: E402
+from .experiments import ExperimentConfig, run_experiment  # noqa: E402
 from .grids import GridRZ  # noqa: E402
 from .phantoms import BUILTIN_PHANTOM_NAMES, builtin_phantom, rasterize_phantom  # noqa: E402
 

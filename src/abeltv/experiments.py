@@ -22,9 +22,6 @@ dump): it passes nothing on and returns any Exception as its failed
 outcome. Its noise is keyed by its own seed, so results are bit-reproducible
 for identical configs run with the same BLAS thread count, which ``abeltv
 run`` pins to one unless the user set it.
-
-``verify_bounds`` drives the analytic inequality suites and returns each
-check's ratio, which must stay <= 1.
 """
 
 from __future__ import annotations
@@ -33,12 +30,9 @@ import json
 import math
 import os
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import analytic
 from .grids import GridRZ, _shown, make_grids
 from .metrics import bound_report
 from .operators import apply_abel, build_abel_matrix
@@ -50,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "RunOutcome",
     "run_experiment",
-    "verify_bounds",
     "RESULTS_HEADER",
 ]
 
@@ -195,16 +188,17 @@ RESULTS_HEADER = ",".join(_COLUMNS)
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     """Execute every run in the config and return their outcomes in config
-    order; see module docstring for outputs. A failed run does not stop the
-    rest, and results.csv is replaced after every run, so an interrupted
-    experiment keeps the rows of the runs it finished."""
+    order; see module docstring for outputs. ``output_dir`` is made before
+    any work. A failed run does not stop the rest, and results.csv is
+    replaced after every run, so an interrupted experiment keeps the rows
+    of the runs it finished."""
+    out_dir = cfg.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     grid, g3 = make_grids(cfg.grid_n)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(cfg.phantom, grid)
     f0 = apply_abel(A, u0)
     u0_csv = b"".join(u0._csv())
-    out_dir = cfg.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes: list[RunOutcome] = []
     rows = [RESULTS_HEADER]
@@ -235,42 +229,6 @@ def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> R
             field.to_csv(out_dir / f"run{i:02d}_{name}.csv")
     except Exception as exc:
         return RunOutcome(vf, *[math.nan] * 7, 0, f"failed:{type(exc).__name__}", math.nan, str(exc))
-    return RunOutcome(vf, *astuple(report), result.final_energy, result.iterations_run, "ok", solve_s, "")
+    return RunOutcome(vf, report.err_l2_uh, report.resid_l2_vh, report.m1, report.c, report.m, report.c_star,
+                      result.final_energy, result.iterations_run, "ok", solve_s, "")
 
-
-def verify_bounds(seed: int, trials: int) -> dict[str, float]:
-    """Run the analytic inequality and decay-rate suites; map each check's
-    name to its ratio, in report order.
-
-    Each check is normalized so the reported ratio must be <= 1:
-    inequality checks report the max left/right ratio over the seeded
-    random step profiles; decay-slope checks report |slope - target| over
-    the 0.02 tolerance; the sum-bound suboptimality witness reports the
-    transformed norm against the 0.1 threshold while the family's TV stays
-    pinned at 1. ``trials`` is a count >= 1.
-    """
-    ratios = analytic.bound_ratios(analytic.random_step_profiles(trials, seed))
-
-    # every indicator member the checks below use, built once; the slope
-    # members' (L1, L2) norms of J v_k, evaluated once
-    members = {k: analytic.indicator_family(k).profile for k in (1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)}
-    ks = (1.0, 2.0, 4.0, 8.0, 16.0)
-    g_norms = {k: analytic.j_norms(members[k]) for k in ks}
-
-    slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
-    slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
-    slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
-    ratios["decay_slope_g_l1 (-1.5 +/- 0.02)"] = abs(slope_g_l1 + 1.5) / 0.02
-    ratios["decay_slope_g_l2 (-1.0 +/- 0.02)"] = abs(slope_g_l2 + 1.0) / 0.02
-    ratios["decay_slope_v_l2 (-0.5 +/- 0.02)"] = abs(slope_v_l2 + 0.5) / 0.02
-
-    # Sum-form bounds cannot see ||v_k||_L2 -> 0 while the TV stays 1: the
-    # witness is that the transform norm collapses with the TV pinned.
-    ratios["sum_bound_witness_g16_l2 (< 0.1)"] = g_norms[16.0][1] / 0.1
-    ratios["indicator_tv_pinned (= 1)"] = abs(members[16.0].tv() - 1.0) / 1e-12
-
-    # Product-bound tightness on the indicator family: the ratio is a
-    # k-independent constant strictly below 1.
-    tight = [(members[k].edges, members[k].values) for k in (4.0, 16.0, 64.0, 256.0)]
-    ratios["indicator_l2_ratio (< 1)"] = analytic.bound_ratios(tight)["l2_product_bound"]
-    return ratios

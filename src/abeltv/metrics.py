@@ -45,7 +45,6 @@ __all__ = [
     "norm_l2_uh",
     "norm_l2_vh",
     "tv_seminorm",
-    "norm_linf",
     "BoundReport",
     "bound_report",
     "DegenerateInstanceError",
@@ -80,14 +79,9 @@ def _tv_sum(u: np.ndarray, g: np.ndarray) -> float:
     return float(_cell_magnitude(g, g).sum())
 
 
-def norm_linf(u: np.ndarray) -> float:
-    return float(np.abs(u).max()) if u.size else 0.0
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """The per-run quantities entering the error-bound check, in the order
-    ``experiments.RunOutcome`` holds them.
+    """The per-run quantities entering the error-bound check.
 
     err_l2_uh : ||u* - u0|| over the revolved Cartesian grid
     resid_l2_vh : ||f* - f||_{l2(V_h)}
@@ -121,7 +115,7 @@ def bound_report(
     """
     h = u_star.grid.h
     c = max(tv_seminorm(u_star), tv_seminorm(u0))
-    m = max(norm_linf(u_star.values), norm_linf(u0.values))
+    m = max(float(np.abs(u_star.values).max()), float(np.abs(u0.values).max()))
     resid = norm_l2_vh(f_star.values - f.values, h)
     noise = norm_l2_vh(f.values - f0.values, h)
     m1 = (resid + noise) ** (1.0 / 3.0)

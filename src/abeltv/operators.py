@@ -56,9 +56,6 @@ class AbelMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=1)
-
 
 def build_abel_matrix(g: GridRZ) -> AbelMatrix:
     """Onion-peeling matrix for the grid's cell/abscissa convention.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abeltv.analytic as analytic
 import abeltv.experiments as experiments
 from abeltv import (
     ExperimentConfig,
@@ -304,6 +305,22 @@ class TestRunExperiment:
         back = RadialField.from_csv(cfg.output_dir / "run00_ustar.csv")
         assert back.grid.n_r == 16
 
+    def test_results_header(self):
+        # the header's bytes, pinned once; CI compares the console script's results.csv with RESULTS_HEADER
+        assert RESULTS_HEADER == "sigma2_frac,err_l2_uh,resid_l2_vh,M1,c,M,c_star,energy_final,iterations,status"
+
+    def test_output_dir_made_before_any_work(self, tmp_path, monkeypatch):
+        # an output_dir that cannot be created fails before the phantom is rendered
+        (tmp_path / "file").write_text("")
+        cfg = ExperimentConfig.from_dict({**small_config(tmp_path), "output_dir": str(tmp_path / "file" / "out")})
+
+        def unreachable(*args):
+            raise AssertionError("rasterize_phantom called before output_dir was made")
+
+        monkeypatch.setattr(experiments, "rasterize_phantom", unreachable)
+        with pytest.raises(OSError):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize(
         "grid_n, message",
         [
@@ -341,8 +358,7 @@ class TestRunExperiment:
             assert row["status"] == "ok"
 
     def test_record_holds_the_bound_report_of_its_dumps(self, tmp_path):
-        # the record takes bound_report's fields by position, so this pins
-        # each column to the quantity of its name
+        # pins each column to the bound_report quantity of its name
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
         grid, g3 = make_grids(cfg.grid_n)
         f0 = apply_abel(build_abel_matrix(grid), rasterize_phantom(cfg.phantom, grid))
@@ -513,7 +529,7 @@ class TestVerifyBounds:
         # verify_bounds draws its trials from analytic.random_step_profiles,
         # the stream the demos and tests use, and from nothing else
         drawn = 0
-        stream = experiments.analytic.random_step_profiles
+        stream = analytic.random_step_profiles
 
         def counting(trials, seed):
             nonlocal drawn
@@ -521,7 +537,7 @@ class TestVerifyBounds:
                 drawn += 1
                 yield row
 
-        monkeypatch.setattr(experiments.analytic, "random_step_profiles", counting)
+        monkeypatch.setattr(analytic, "random_step_profiles", counting)
         verify_bounds(seed=20240, trials=50)
         assert drawn == 50
 

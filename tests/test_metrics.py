@@ -16,7 +16,6 @@ from abeltv import (
     make_grids,
     norm_l2_uh,
     norm_l2_vh,
-    norm_linf,
     rasterize_phantom,
     revolve,
     solve_tv,
@@ -112,15 +111,6 @@ class TestTVSeminorm:
         assert tv_seminorm(u0) == pytest.approx(4.10, abs=0.05)
 
 
-class TestNormLinf:
-    def test_values(self):
-        assert norm_linf(np.zeros((3, 3))) == 0.0
-        assert norm_linf(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
-        grid, _ = make_grids(32)
-        u = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
-        assert norm_linf(u.values) == 1.0
-
-
 class TestBoundReport:
     def test_degenerate_instance(self):
         grid, g3 = make_grids(8)
@@ -128,6 +118,17 @@ class TestBoundReport:
         f = ProjectionField(grid, np.zeros((8, 17)))
         with pytest.raises(DegenerateInstanceError):
             bound_report(z2, z2, f, f, f, g3)
+
+    def test_sup_norm_of_a_negative_peak(self):
+        # M is the largest magnitude, here u*'s one negative entry
+        grid, g3 = make_grids(8)
+        u_star = np.full((8, 17), 0.5)
+        u_star[3, 9] = -3.0
+        u0 = RadialField(grid, np.full((8, 17), 2.0))
+        f = ProjectionField(grid, np.ones((8, 17)))
+        f0 = ProjectionField(grid, np.zeros((8, 17)))
+        rep = bound_report(RadialField(grid, u_star), u0, f, f, f0, g3)
+        assert rep.m == 3.0
 
     def test_noise_free_run_small_ratio(self):
         # Consistent data and a hard fit: the reconstruction lands close to
@@ -160,7 +161,7 @@ class TestBoundReport:
         rep = bound_report(u_star, u0, f_star, f, f0, g3)
         h = grid.h
         assert rep.c == max(tv_seminorm(u_star), tv_seminorm(u0))
-        assert rep.m == max(norm_linf(u_star.values), norm_linf(u0.values))
+        assert rep.m == max(np.abs(u_star.values).max(), np.abs(u0.values).max())
         resid = norm_l2_vh(f_star.values - f.values, h)
         noise = norm_l2_vh(f.values - f0.values, h)
         assert rep.resid_l2_vh == resid

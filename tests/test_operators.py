@@ -62,14 +62,14 @@ class TestAbelMatrix:
     def test_two_cell_row_sums_are_chord_lengths(self):
         grid, _ = make_grids(2)
         A = build_abel_matrix(grid)
-        assert_allclose(A.row_sums(), [2.0, SQRT3], atol=1e-14)
-        assert_allclose(A.row_sums(), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-14)
+        assert_allclose(A.entries.sum(axis=1), [2.0, SQRT3], atol=1e-14)
+        assert_allclose(A.entries.sum(axis=1), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-14)
 
     @pytest.mark.parametrize("n_r", [2, 7, 64, 128])
     def test_row_sum_identity(self, n_r):
         grid, _ = make_grids(n_r)
         A = build_abel_matrix(grid)
-        assert_allclose(A.row_sums(), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-12)
+        assert_allclose(A.entries.sum(axis=1), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-12)
 
     @pytest.mark.parametrize("n_r", [2, 5, 33])
     def test_upper_triangular_positive_diagonal(self, n_r):

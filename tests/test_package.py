@@ -40,6 +40,11 @@ def test_import_loads_no_numpy_and_star_is_the_modules_all():
     assert names == str(sorted(union))
 
 
+def test_run_pipeline_loads_no_stability_suite():
+    code = "import sys, abeltv.experiments; print('abeltv.analytic' in sys.modules)"
+    assert python(["-c", code]) == "False\n"
+
+
 def test_root_serves_modules_and_names():
     for m in MODULES:
         module = getattr(abeltv, m)
