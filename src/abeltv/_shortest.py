@@ -16,6 +16,11 @@ tried whenever s >= 10 (Java: s >= 100) and the tiny-subnormal branch that
 renders 5e-324 as 4.9e-324 is gone. The layout is ``repr``'s: fixed notation,
 with a ``.0`` on integers, for magnitudes in [1e-4, 1e16), else
 ``d.ddde-XX``. The tables are built on first use, not at import.
+
+Zeros are spliced, not searched: the digit search and the layout run over
+the nonzero values only, and each zero gets its token, ``0.0`` or ``-0.0``
+(the sign bit kept, as ``repr`` keeps it), directly. So a mostly-zero array
+costs about what its nonzeros cost, and an all-zero one runs no search.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ _P = 17  # the column of the '.': 16 integer digits and a '-' fit left of it
 _LEFT, _RIGHT = 20, 36  # '0's around the 20 digits: room for every shift
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _UPTO = np.arange(_WIDTH) <= np.arange(_WIDTH)[:, None]  # row L: columns 0..L
+# the tokens of 0.0 and -0.0, each padded to a row of _WIDTH
+_SIGNED_ZERO = np.frombuffer(b"0.0".ljust(_WIDTH) + b"-0.0".ljust(_WIDTH), np.uint8).reshape(2, _WIDTH)
 
 
 def _flog10pow2(e):
@@ -89,25 +96,32 @@ def _rop(g, cp):
 
 def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shortest decimal f 10^e of each nonzero finite float64 (given as its
-    bit patterns), ``f`` < 10^17 possibly with trailing zeros."""
+    bit patterns), ``f`` < 10^17 possibly with trailing zeros. Both are
+    int64: ``np.searchsorted`` would compare a uint64 ``f`` with int64
+    powers of ten as float64."""
     bq = (bits >> 52) & np.uint64(0x7FF)
     c = bits & (_C_MIN - np.uint64(1))
     c[bq != 0] |= _C_MIN
     q = np.maximum(bq.astype(np.int64), 1) - 1075
+    del bq  # here and in _tokens, each temporary goes once dead: they set a chunk's peak
     irregular = (c == _C_MIN) & (q != -1074)  # a power of two: the gap below is half
     k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    del q
 
     # the value and the ends of its rounding interval, in units of 2^q / 4,
     # scaled by 10^-k: vb, vbl and vbr of the Java reference
     g = _g_limbs()[:, k - _K_MIN]
+    out = c & np.uint64(1)  # an odd c leaves the ends out
     cb = c << np.uint64(2)
+    del c
     vb = _rop(g, cb << h)
     vbl = _rop(g, (cb - np.uint64(2) + irregular) << h)
     vbr = _rop(g, (cb + np.uint64(2)) << h)
-    out = c & np.uint64(1)  # an odd c leaves the ends out
+    del g, cb, h, irregular
     vbl += out
     vbr -= out
+    del out
 
     s = vb >> np.uint64(2)
     # one digit shorter: u' = 10 floor(s / 10) or w' = u' + 10
@@ -122,7 +136,7 @@ def _decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = s + ~np.where(uin != win, uin, closer_u)
     shorter = (s >= 10) & (upin != wpin)  # Java asks s >= 100, to keep two digits
     f = np.where(shorter, sp + np.uint64(10) * ~upin, f)
-    return f, k
+    return f.view(np.int64), k
 
 
 def format_rows(a: np.ndarray) -> bytes:
@@ -133,9 +147,29 @@ def format_rows(a: np.ndarray) -> bytes:
     size = bits.size
     neg = (bits >> np.uint64(63)).astype(np.intp)
     mag = bits & _M63
-    nonzero = mag != 0
-    f, e = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-    f[nonzero], e[nonzero] = _decimal(mag[nonzero])  # f < 10^17 fits an int64
+    nonzero = np.flatnonzero(mag)
+    if nonzero.size == size:  # no zeros: the tokens are the text
+        text, length = _tokens(mag, neg)
+    else:  # each zero is "0.0" or "-0.0"; the digit search sees the rest
+        # made before the text, for a lower peak; an all-zero chunk has none
+        tokens = _tokens(mag[nonzero], neg[nonzero]) if nonzero.size else None
+        text, length = _SIGNED_ZERO[neg], 3 + neg
+        if tokens is not None:
+            text[nonzero], length[nonzero] = tokens
+
+    ends = np.arange(size) * _WIDTH + length
+    flat = text.reshape(-1)
+    flat[ends] = _COMMA
+    flat[ends[cols - 1 :: cols]] = _NEWLINE
+    return text[_UPTO[length]].tobytes()
+
+
+def _tokens(mag: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr``'s text of each nonzero value, given as its magnitude's bit
+    pattern ``mag`` and its sign ``neg`` (0 or 1): row i of the returned
+    (size, _WIDTH) array from column 0, and its length."""
+    size = mag.size
+    f, e = _decimal(mag)
 
     # f in 20 digit characters, most significant first, between runs of '0's
     # long enough for every shift below; and how many of them are trailing zeros
@@ -150,19 +184,23 @@ def format_rows(a: np.ndarray) -> bytes:
         words[:, i] = chars[group]
         tz += (tz == 4 * (4 - i)) * zeros[group]  # only while the groups after are 0000
         rest = top
-    digits = np.searchsorted(_POW10, f, side="right")  # 0 for f = 0
-    n = np.where(nonzero, digits - tz, 0)  # significant digits
-    decpt = np.where(nonzero, digits + e, 1)  # the value is 0.ddd 10^decpt
+    del words, rest, top, group
+    digits = np.searchsorted(_POW10, f, side="right")
+    n = digits - tz  # significant digits
+    decpt = digits + e  # the value is 0.ddd 10^decpt
+    del f, tz
     sci = (decpt <= -4) | (decpt > 16)
     point = np.where(sci, 1, decpt)  # sci: render the digits as d.ddd first
 
     # shift the digits so that the units place sits just left of column _P,
     # insert the '.' there, and start each token at its first character
     shifted = _windows(src, _LEFT + 20 - _P + point - digits, _P + 20)
+    del src, digits
     text = np.full((size, _P + 1 + _WIDTH), _ZERO, dtype=np.uint8)
     text[:, :_P] = shifted[:, :_P]
     text[:, _P] = _DOT
     text[:, _P + 1 : _P + 21] = shifted[:, _P:]
+    del shifted
     start = _P - np.maximum(point, 1) - neg
     text.reshape(-1)[(np.arange(size) * text.shape[1] + start)[neg == 1]] = _MINUS
     text = _windows(text, start, _WIDTH)
@@ -181,17 +219,14 @@ def format_rows(a: np.ndarray) -> bytes:
     flat[epos + 3 + big] = x % 10 + _ZERO
     flat[epos[big] + 2] = x[big] // 100 + _ZERO
     length[rows] = epos - rows * _WIDTH + 4 + big
-
-    ends = np.arange(size) * _WIDTH + length
-    flat[ends] = _COMMA
-    flat[ends[cols - 1 :: cols]] = _NEWLINE
-    return text[_UPTO[length]].tobytes()
+    return text, length
 
 
 def _windows(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
-    """Row i of ``a`` from column ``start[i]``, ``width`` columns of it."""
+    """Row i of the contiguous uint8 array ``a`` from column ``start[i]``,
+    ``width`` columns of it."""
     rows, cols = a.shape
-    flat = np.lib.stride_tricks.sliding_window_view(a.reshape(-1), width)
+    flat = np.lib.stride_tricks.as_strided(a, (rows * cols - width + 1, width), (1, 1))
     return flat[np.arange(rows) * cols + start]
 
 
@@ -199,6 +234,6 @@ def _windows(a: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
 def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
     """For 0..9999: the four digit characters as a little-endian uint32
     word, and the number of trailing zeros among them."""
-    i = np.arange(10000)
-    chars = np.frombuffer(b"".join(b"%04d" % j for j in range(10000)), dtype="<u4")
-    return chars, sum(i % 10**j == 0 for j in range(1, 5))
+    i = np.arange(10000, dtype=np.uint16)  # small: the tables are built inside a render
+    chars = (i[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10 + _ZERO).astype(np.uint8)
+    return chars.view("<u4").ravel(), sum(i % 10**j == 0 for j in range(1, 5))

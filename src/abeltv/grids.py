@@ -49,8 +49,9 @@ __all__ = [
 ]
 
 
-# values rendered at a time by to_csv: the kernel's temporaries stay near 1 MB
-_CSV_CHUNK = 4096
+# values rendered at a time by to_csv: the kernel's temporaries peak near
+# 1.6 MiB on a dense chunk, under the 2 MiB that test_csv_written_in_chunks allows
+_CSV_CHUNK = 8192
 
 # the largest n_r a run can hold: A and K are n_r^2 doubles each and a solve
 # about eight (n_r, 2 n_r + 1) arrays, some 18 n_r^2 doubles in all, 576 MiB

@@ -25,9 +25,10 @@ from abeltv import (
     builtin_phantom,
     indicator_family,
     make_grids,
+    rasterize_phantom,
     revolve,
 )
-from abeltv.grids import _lattice_cell_counts, _lattice_cells
+from abeltv.grids import _CSV_CHUNK, _lattice_cell_counts, _lattice_cells
 
 
 class TestMakeGrids:
@@ -414,11 +415,16 @@ class TestSerialization:
         u.to_csv(path)
         assert path.read_bytes() == _expected_csv(u)
 
-    def test_csv_written_in_chunks(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["dense", "four-blobs"])
+    def test_csv_written_in_chunks(self, tmp_path, kind):
         # to_csv renders a few rows at a time, so an n_r = 256 field (131 328
-        # values, 2.6 MB of text) never holds all its text in memory
+        # values, 2.6 MB of text) never holds all its text in memory; the
+        # phantom (85% zeros) takes the kernel's zero-splicing path
         grid = GridRZ(256)
-        u = RadialField(grid, np.random.default_rng(3).normal(size=(grid.n_r, grid.n_z)))
+        if kind == "dense":
+            u = RadialField(grid, np.random.default_rng(3).normal(size=(grid.n_r, grid.n_z)))
+        else:
+            u = rasterize_phantom(builtin_phantom(kind), grid)
         tracemalloc.start()
         try:
             u.to_csv(tmp_path / "u.csv")
@@ -426,6 +432,31 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize(
+        "case", ["all-zero", "all-negative-zero", "nonzero-in-last-chunk", "zeros-across-boundary"]
+    )
+    def test_csv_zero_splice(self, tmp_path, case):
+        # at n_r = 128 to_csv renders 31 rows at a time, in five chunks; the
+        # kernel searches digits only for nonzeros and writes each zero's token
+        grid = GridRZ(128)
+        step = _CSV_CHUNK // grid.n_z
+        assert step < grid.n_r
+        if case == "all-zero":
+            vals = np.zeros((grid.n_r, grid.n_z))
+        elif case == "all-negative-zero":
+            vals = np.full((grid.n_r, grid.n_z), -0.0)
+        elif case == "nonzero-in-last-chunk":
+            vals = np.zeros((grid.n_r, grid.n_z))
+            vals[-1, 5] = -1.25e-7
+        else:
+            vals = np.random.default_rng(4).normal(size=(grid.n_r, grid.n_z))
+            vals[step - 1, -4:] = [0.0, -0.0, 0.0, 0.0]  # the last values of the first chunk
+            vals[step, :3] = [-0.0, 0.0, -0.0]  # the first values of the second
+        u = RadialField(grid, vals)
+        path = tmp_path / "u.csv"
+        u.to_csv(path)
+        assert path.read_bytes() == _expected_csv(u)
 
     @pytest.mark.parametrize(
         "edit, phrase",
