@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridXYZ, ProjectionField, RadialField, _lattice_cell_counts
-from .operators import _cell_magnitude, _gradient_into
+from .operators import _gradient_step, _squared_magnitude
 
 __all__ = [
     "norm_l2_uh",
@@ -75,8 +75,9 @@ def _tv_sum(u: np.ndarray, g: np.ndarray) -> float:
     """sum |D u| of the (n_r, n_z) array ``u``, the per-cell differences
     taken in ``g``, shape (2,) + u.shape, which must be C-contiguous and
     is overwritten."""
-    _gradient_into(u, g)
-    return float(_cell_magnitude(g, g).sum())
+    _gradient_step(np.ascontiguousarray(u), g)()
+    s = _squared_magnitude(g, g)
+    return float(np.sqrt(s, out=s).sum())
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,15 @@ adjoints of each other: <grad u, p> = -<u, div p> for every u, p.
 
 The public operations are pure functions of immutable inputs; ``AbelMatrix``
 is its entries alone and, like the fields, compares by identity. The
-stencils of ``gradient`` and ``divergence`` are written once, in private
-bodies that fill a caller's buffer; the public functions allocate and call
-them, and the solver calls them directly on buffers it allocates once per
-solve. Every full-array pass of a body runs over contiguous memory, so the
-bodies require C-contiguous output buffers and raise on any other layout
-rather than write into a copy; inputs of any layout are accepted.
+stencils of ``gradient`` and ``divergence`` are written once, as private
+builders that take an input and an output buffer, make every view of them
+the stencil reads or writes, and return a step that runs the stencil on
+whatever the buffers hold when it is called. The public functions build a
+step on buffers they allocate and run it once; the solver builds its steps
+once per solve and runs them every iteration. Every full-array pass of a
+step runs over contiguous memory, so the builders require C-contiguous
+buffers, input and output, and raise on any other layout rather than bind
+a copy; the public functions accept inputs of any layout.
 """
 
 from __future__ import annotations
@@ -97,25 +100,30 @@ def gradient(u: np.ndarray, h: float) -> np.ndarray:
     component 1 along the axial index with a zero last column. Returns
     shape (2, n_r, n_z).
     """
-    u = np.asarray(u, dtype=float)
+    u = np.ascontiguousarray(u, dtype=float)
     g = np.empty((2,) + u.shape)
-    _gradient_into(u, g)
+    _gradient_step(u, g)()
     g /= h
     return g
 
 
-def _gradient_into(u: np.ndarray, out: np.ndarray) -> None:
-    """Plain per-cell forward differences of ``u`` written into ``out``,
-    shape (2,) + u.shape, with the zero last row/column of ``gradient``.
-    ``out[1]`` must be C-contiguous: the axial differences are one pass over
-    the raveled rows, and zeroing the last column clears the entries that
-    straddle two rows."""
-    axial = _flat(out[1])
-    np.subtract(u[1:], u[:-1], out=out[0, :-1])
-    out[0, -1] = 0.0
-    uf = u.reshape(-1)
-    np.subtract(uf[1:], uf[:-1], out=axial[:-1])
-    out[1, :, -1] = 0.0
+def _gradient_step(u: np.ndarray, out: np.ndarray):
+    """The step that writes the plain per-cell forward differences of
+    ``u`` into ``out``, shape (2,) + u.shape, with the zero last row/column
+    of ``gradient``. Both must be C-contiguous: the axial differences are
+    one pass over the raveled rows, and zeroing the last column clears the
+    entries that straddle two rows."""
+    uf, axial = _flat(u), _flat(out[1])
+    u_hi, u_lo, radial, last_row = u[1:], u[:-1], out[0, :-1], out[0, -1]
+    uf_hi, uf_lo, axial_head, last_col = uf[1:], uf[:-1], axial[:-1], out[1, :, -1]
+
+    def step() -> None:
+        np.subtract(u_hi, u_lo, out=radial)
+        last_row.fill(0.0)
+        np.subtract(uf_hi, uf_lo, out=axial_head)
+        last_col.fill(0.0)
+
+    return step
 
 
 def divergence(p: np.ndarray, h: float) -> np.ndarray:
@@ -131,44 +139,52 @@ def divergence(p: np.ndarray, h: float) -> np.ndarray:
     if p.ndim != 3 or p.shape[0] != 2 or min(p.shape[1:]) < 2:
         raise ValueError(f"expected shape (2, n_r, n_z) with n_r, n_z >= 2, got {p.shape}")
     d = np.empty(p.shape[1:])
-    _divergence_into(p, d, np.empty(p.shape[1:]))
+    _divergence_step(np.ascontiguousarray(p), d, np.empty(p.shape[1:]))()
     d /= h
     return d
 
 
-def _divergence_into(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Plain per-cell divergence of the stacked pair ``p`` (n_r, n_z >= 2)
-    written into ``out``. ``out`` and ``scratch``, of the same shape, must
-    be C-contiguous; ``scratch`` is overwritten. The radial part goes into
-    ``out``, the axial part into ``scratch`` in one pass over the raveled
-    rows (setting the first column clears the entries that straddle two
-    rows), and ``scratch`` is added."""
+def _divergence_step(p: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """The step that writes the plain per-cell divergence of the stacked
+    pair ``p`` (n_r, n_z >= 2) into ``out``. ``p``, ``out`` and ``scratch``,
+    the last two of the same shape, must be C-contiguous; ``scratch`` is
+    overwritten. The radial part goes into ``out``, the axial part into
+    ``scratch`` in one pass over the raveled rows (setting the first column
+    clears the entries that straddle two rows), and ``scratch`` is added."""
     flat_out, flat_scratch = _flat(out), _flat(scratch)
     p1, p2 = p[0], p[1]
-    np.subtract(p1[1:], p1[:-1], out=out[1:])
-    out[0] = p1[0]
-    np.negative(p1[-2], out=out[-1])
-    p2f = p2.reshape(-1)
-    np.subtract(p2f[1:], p2f[:-1], out=flat_scratch[1:])
-    scratch[:, 0] = p2[:, 0]
-    np.negative(p2[:, -2], out=scratch[:, -1])
-    flat_out += flat_scratch
+    p2f = _flat(p2)
+    p1_hi, p1_lo, p1_first, p1_before_last = p1[1:], p1[:-1], p1[0], p1[-2]
+    out_tail, out_first, out_last = out[1:], out[0], out[-1]
+    p2f_hi, p2f_lo, p2_first, p2_before_last = p2f[1:], p2f[:-1], p2[:, 0], p2[:, -2]
+    scratch_tail, scratch_first, scratch_last = flat_scratch[1:], scratch[:, 0], scratch[:, -1]
+
+    def step() -> None:
+        np.subtract(p1_hi, p1_lo, out=out_tail)
+        np.copyto(out_first, p1_first)
+        np.negative(p1_before_last, out=out_last)
+        np.subtract(p2f_hi, p2f_lo, out=scratch_tail)
+        np.copyto(scratch_first, p2_first)
+        np.negative(p2_before_last, out=scratch_last)
+        np.add(flat_out, flat_scratch, out=flat_out)
+
+    return step
 
 
-def _cell_magnitude(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Per-cell Euclidean magnitude sqrt(p[0]^2 + p[1]^2) of the stacked
+def _squared_magnitude(p: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Per-cell squared Euclidean magnitude p[0]^2 + p[1]^2 of the stacked
     pair ``p``, computed in ``scratch`` (p's shape, overwritten; it may be
-    ``p`` itself). Returns the view ``scratch[0]`` that holds it."""
+    ``p`` itself). Returns the view ``scratch[0]`` that holds it; the
+    values in ``scratch[1]`` are dead."""
     np.square(p, out=scratch)
-    mag = scratch[0]
-    mag += scratch[1]
-    np.sqrt(mag, out=mag)
-    return mag
+    s = scratch[0]
+    s += scratch[1]
+    return s
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
     """The 1-D view of the C-contiguous buffer ``a``; any other layout
-    raises, so that no write can land in a copy."""
+    raises, so that no step binds a copy."""
     if not a.flags.c_contiguous:
         raise ValueError(f"buffer of shape {a.shape} is not C-contiguous")
     return a.reshape(-1)

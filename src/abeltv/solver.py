@@ -30,7 +30,7 @@ thread count, identical inputs give bit-identical iterates (the BLAS
 kernels' summation order depends on that count; the ``abeltv`` commands
 pin it to one unless the user set it, and library callers keep their own).
 
-K and c are formed before anything else; with c, the iteration lives in
+K and c are formed before the buffers; with c, the iteration lives in
 eight (n_r, n_z) arrays allocated once per solve: u, u_new, one buffer for
 w and q, and the pairs v and p. Each buffer serves as scratch while its
 value is dead:
@@ -40,11 +40,23 @@ value is dead:
 * the projection squares into the old v, dead once p = v + gamma D w;
 * the divergence's scratch is u_new, which holds the previous u, dead
   from the update of w until K q is written into it;
-* the energy at a record point is evaluated in p (the old v) and u_new.
+* the energy at a record point is evaluated in the old v and the old u.
 
-The loop allocates nothing; the iterate is checked at record points alone.
-The buffers and K are released before the result copies u and v, so a
-solve peaks at about eight arrays plus K (8.6 MB at n_r = 256).
+(u, u_new) and (v, p) trade places every iteration, so the gradient and
+divergence steps (``operators``) are bound to their buffers twice per
+solve, once for each parity, and no stencil view is made in the loop.
+
+The projection changes only the cells with |p|^2 > 1, or NaN, which it
+marks in a bool array of one byte per cell, made once per solve: elsewhere
+p / max(1, |p|) is p / 1.0, which is p. When at most an eighth of the
+cells are marked, it takes the root and the divisions on those cells
+alone; above that, the pass over every cell is the faster, and it runs
+that. Both forms give the same bits. The loop's only allocation is the
+index of the marked cells in the first form, at most one byte per cell,
+no more than the finiteness check makes at a record point, the only place
+where the iterate is checked. The buffers and K are released before the
+result copies u and v, so a solve peaks at about eight arrays, K and the
+mask (8.8 MB at n_r = 256).
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ import numpy as np
 
 from .grids import DualField, ProjectionField, RadialField, _integer, _real
 from .metrics import _tv_sum
-from .operators import AbelMatrix, _cell_magnitude, _check_size, _divergence_into, _gradient_into
+from .operators import AbelMatrix, _check_size, _divergence_step, _flat, _gradient_step, _squared_magnitude
 
 # Not called here: the benchmark's layer trace (benchmarks/worker.py) wraps
 # these names on this module, so they stay importable from it.
@@ -120,17 +132,37 @@ class SolveResult:
 
 def project_unit_ball(p: np.ndarray) -> np.ndarray:
     """Per-cell isotropic projection p / max(1, |p|) of a stacked pair."""
-    out = np.array(p, dtype=float)
-    _project_unit_ball_inplace(out, np.empty_like(out))
+    out = np.array(p, dtype=float, order="C")
+    _project_unit_ball_inplace(out, np.empty_like(out), np.empty(out.shape[1:], dtype=bool))
     return out
 
 
-def _project_unit_ball_inplace(p: np.ndarray, scratch: np.ndarray) -> None:
-    """``project_unit_ball`` applied to ``p`` itself; ``scratch`` has the
-    shape of ``p`` and is overwritten."""
-    mag = _cell_magnitude(p, scratch)
-    np.maximum(mag, 1.0, out=mag)
-    p /= mag
+def _project_unit_ball_inplace(p: np.ndarray, scratch: np.ndarray, marked: np.ndarray) -> None:
+    """``project_unit_ball`` applied to ``p`` itself, in the two forms of the
+    module docstring; the sparse one gathers into ``scratch[1]``, dead once
+    |p|^2 is formed. ``scratch``, of p's shape, and ``marked``, a bool
+    array of a cell's shape, are overwritten; all three must be
+    C-contiguous."""
+    s = _squared_magnitude(p, scratch)
+    np.less_equal(s, 1.0, out=marked)
+    np.logical_not(marked, out=marked)
+    count = np.count_nonzero(marked)
+    if count > marked.size // 8:
+        np.sqrt(s, out=s)
+        np.maximum(s, 1.0, out=s)
+        p /= s
+    elif count:
+        cells = np.flatnonzero(marked)
+        dead = _flat(scratch[1])
+        mag, part = dead[:count], dead[count : 2 * count]
+        # mode="clip" gathers into ``out`` itself, where "raise" buffers it
+        np.take(_flat(s), cells, out=mag, mode="clip")
+        np.sqrt(mag, out=mag)
+        for component in p:
+            flat = _flat(component)
+            np.take(flat, cells, out=part, mode="clip")
+            part /= mag
+            flat[cells] = part
 
 
 def energy(u: RadialField, A: AbelMatrix, f: ProjectionField, lam: float) -> float:
@@ -184,27 +216,46 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         At the first record point whose iterate is non-finite, named.
     """
     _check_size(A, f)
-    grid = f.grid
+    u, v, trace = _iterate(A, f, params)
+    return SolveResult(
+        u_star=RadialField(f.grid, u),
+        dual=DualField(f.grid, v),
+        energy_trace=tuple(trace),
+        final_energy=trace[-1][1],
+        iterations_run=trace[-1][0],
+    )
+
+
+def _iterate(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> tuple[np.ndarray, np.ndarray, list]:
+    """The iteration of ``solve_tv``: the final u and v and the energy
+    trace. Every other buffer, and K, is released when it returns."""
     tau, gamma, lam = params.tau, params.gamma, params.lam
+    # the mask is made before K: made after it, it raised the peak RSS of
+    # `abeltv run` at n_r = 128 by up to 0.6 MB (heap fragmentation)
+    marked = np.empty(f.values.shape, dtype=bool)
     K = _primal_operator(A, tau, lam)
     c = K @ (tau * lam * (A.entries.T @ f.values))
 
     # wq holds w until the gradient has read it, then q (module docstring)
-    u = np.zeros_like(c)
-    u_new = np.empty_like(c)
-    wq = np.zeros_like(c)
-    v = np.zeros((2,) + c.shape)
-    p = np.empty_like(v)
+    u, u_new, wq = np.zeros_like(c), np.empty_like(c), np.zeros_like(c)
+    v, p = np.zeros((2,) + c.shape), np.empty((2,) + c.shape)
+
+    def bind(u, u_new, v, p):
+        return u, u_new, v, p, _gradient_step(wq, p), _divergence_step(p, wq, u_new)
+
+    # (u, u_new) and (v, p) trade places every iteration, so the steps are
+    # bound once for each parity; iteration 1 takes the buffers as made
+    parities = (bind(u, u_new, v, p), bind(u_new, u, p, v))
     trace: list[tuple[int, float]] = []
     for it in range(1, params.max_iter + 1):
-        # p = v + gamma * D w, then v = p / max(1, |p|)
-        _gradient_into(wq, p)
+        u, u_new, v, p, grad, div = parities[(it - 1) % 2]
+        # p = v + gamma * D w, then p / max(1, |p|) is the new v
+        grad()
         p *= gamma
         p += v
-        _project_unit_ball_inplace(p, v)
-        v, p = p, v
-        # q = u + tau * D* v, then u = K q + c
-        _divergence_into(v, wq, u_new)
+        _project_unit_ball_inplace(p, v, marked)
+        # q = u + tau * D* v, then u_new = K q + c
+        div()
         wq *= tau
         wq += u
         np.matmul(K, wq, out=u_new)
@@ -212,20 +263,11 @@ def solve_tv(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> SolveRe
         # w = 2 u_new - u
         np.multiply(u_new, 2.0, out=wq)
         wq -= u
-        u, u_new = u_new, u
         if it % params.record_every == 0 or it == params.max_iter:
-            if not np.isfinite(u).all():
+            if not np.isfinite(u_new).all():
                 raise SolverDivergedError(it)
-            trace.append((it, _energy(u, A.entries, f.values, lam, grid.h, p, u_new)))
-    del K, c, u_new, wq, p
-
-    return SolveResult(
-        u_star=RadialField(grid, u),
-        dual=DualField(grid, v),
-        energy_trace=tuple(trace),
-        final_energy=trace[-1][1],
-        iterations_run=trace[-1][0],
-    )
+            trace.append((it, _energy(u_new, A.entries, f.values, lam, f.grid.h, v, u)))
+    return u_new, p, trace
 
 
 def solve_onion_peeling(A: AbelMatrix, f: ProjectionField) -> RadialField:

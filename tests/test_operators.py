@@ -17,7 +17,7 @@ from abeltv import (
     gradient,
     make_grids,
 )
-from abeltv.operators import _divergence_into, _gradient_into
+from abeltv.operators import _divergence_step, _gradient_step
 
 SQRT3 = np.sqrt(3.0)
 
@@ -257,15 +257,21 @@ class TestStencilsAgainstReference:
         p = _signed_zero_input((2, 4, 9), "C", 4)
         out = np.full((2, 4, 9), 7.0, order="F")
         with pytest.raises(ValueError, match="C-contiguous"):
-            _gradient_into(u, out)
+            _gradient_step(u, out)
         assert (out == 7.0).all()
-        for d, scratch in [
-            (np.full((4, 9), 7.0, order="F"), np.empty((4, 9))),
-            (np.full((4, 18), 7.0)[:, ::2], np.empty((4, 9))),
-            (np.full((4, 9), 7.0), np.empty((4, 9), order="F")),
+        # a step binds views of its input too, so the input must not be a copy
+        out = np.full((2, 4, 9), 7.0)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _gradient_step(np.asfortranarray(u), out)
+        assert (out == 7.0).all()
+        for q, d, scratch in [
+            (p, np.full((4, 9), 7.0, order="F"), np.empty((4, 9))),
+            (p, np.full((4, 18), 7.0)[:, ::2], np.empty((4, 9))),
+            (p, np.full((4, 9), 7.0), np.empty((4, 9), order="F")),
+            (np.asfortranarray(p), np.full((4, 9), 7.0), np.empty((4, 9))),
         ]:
             with pytest.raises(ValueError, match="C-contiguous"):
-                _divergence_into(p, d, scratch)
+                _divergence_step(q, d, scratch)
             assert (d == 7.0).all()
 
     @pytest.mark.parametrize("shape", [(2, 1, 5), (2, 5, 1), (2, 1, 1)])

@@ -132,21 +132,26 @@ class TestSolveTV:
         assert result.iterations_run == result.energy_trace[-1][0] == 37
 
     def test_memory_peak_flat_in_iterations(self):
-        # eight (n_r, n_z) buffers and K; the loop allocates nothing, and a
-        # record point (the finiteness check and the energy) nothing that
-        # outlives it, so a longer run peaks no higher
+        # eight (n_r, n_z) buffers, K and the projection's mask of a byte per
+        # cell; the loop allocates only the index of the dual cells outside
+        # the unit ball, at most a byte per cell, and a record point (the
+        # finiteness check and the energy) nothing that outlives it, so a
+        # longer run peaks no higher. At lambda = 1000, 1.4% of the cells are
+        # outside after 10 iterations and 36% after 60, so both forms of the
+        # projection run.
         grid, A, u0, f0, f = noisy_instance(256)
-        peaks = []
-        for n_iter in (10, 60):
-            params = SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=n_iter, record_every=5)
-            tracemalloc.start()
-            try:
-                solve_tv(A, f, params)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 10 * 8 * grid.n_r * grid.n_z
-        assert abs(peaks[1] - peaks[0]) < 4096
+        for lam in (80.0, 1000.0):
+            peaks = []
+            for n_iter in (10, 60):
+                params = SolverParams(lam=lam, tau=0.2, gamma=0.2, max_iter=n_iter, record_every=5)
+                tracemalloc.start()
+                try:
+                    solve_tv(A, f, params)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] < 10 * 8 * grid.n_r * grid.n_z, lam
+            assert abs(peaks[1] - peaks[0]) < 4096, lam
 
     def test_dual_feasible(self):
         grid, A, u0, f0, f = noisy_instance(16)
@@ -283,6 +288,39 @@ class TestSolveTV:
             assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
         assert [it for it, _ in got.energy_trace] == [it for it, _ in trace]
         assert_allclose([e for _, e in got.energy_trace], [e for _, e in trace], rtol=1e-12)
+
+    def test_bytes_equal_public_operators_iteration(self):
+        # The solver's loop against the same iteration written with the
+        # public operators, the same K and c, and allocating arithmetic:
+        # every byte of u*, the dual and the energy trace agrees. The share
+        # of dual cells outside the unit ball is 0 at first, about 4% at
+        # iteration 10 and 16% at 20, so the projection runs with no such
+        # cell, on those cells alone, and over every cell.
+        grid, A, u0, f0, f = noisy_instance(16)
+        tau, gamma, lam, n_iter = 0.2, 0.2, 80.0, 40
+        got = solve_tv(A, f, SolverParams(lam=lam, tau=tau, gamma=gamma, max_iter=n_iter, record_every=5))
+
+        K = _primal_operator(A, tau, lam)
+        c = K @ (tau * lam * (A.entries.T @ f.values))
+        u = np.zeros((16, 33))
+        v = np.zeros((2, 16, 33))
+        w = u.copy()
+        trace, shares = [], []
+        for it in range(1, n_iter + 1):
+            p = v + gamma * gradient(w, h=1.0)
+            shares.append(np.mean(~(p[0] ** 2 + p[1] ** 2 <= 1.0)))
+            v = project_unit_ball(p)
+            q = u + tau * divergence(v, h=1.0)
+            u_new = np.matmul(K, q) + c
+            w = 2.0 * u_new - u
+            u = u_new
+            if it % 5 == 0:
+                trace.append((it, energy(RadialField(grid, u), A, f, lam)))
+
+        assert shares[0] == 0.0 and 0.0 < shares[9] <= 1 / 8 < shares[19]
+        assert got.u_star.values.tobytes() == u.tobytes()
+        assert got.dual.values.tobytes() == v.tobytes()
+        assert np.array(got.energy_trace).tobytes() == np.array(trace).tobytes()
 
 
 class TestOnionPeeling:
