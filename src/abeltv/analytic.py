@@ -11,10 +11,15 @@ Quadrature strategy: the kernel singularity at r = x is removed analytically
 by the substitution r = x + t^2 (resp. r^2 = x^2 + t^2), after which one
 fixed rule, ``_panel``, integrates each interval between knots; callers
 must declare every discontinuity or singular point of v as a breakpoint,
-so that a panel ends there. Piecewise-constant
-profiles bypass quadrature entirely via exact closed forms: one closed
-form of J v, written for stacks of profiles, serves ``j_transform``,
-``j_norms`` and ``bound_ratios``. ``random_step_profiles`` yields step
+so that a panel ends there. For piecewise-constant profiles J v has one
+closed form, written for stacks of profiles, which ``j_transform``
+returns. ``j_norms`` and ``bound_ratios`` take the L1 and L2 norms of J v
+in closed form for a profile whose values are all >= 0
+(``_j_norms_closed``; within 1e-14 of the quadrature on the 1000-profile
+suite). |J v| of a profile with a negative value can change sign, so its
+norms come from ``_panel`` on every piece of the closed form of J v,
+exact to rounding, as do those of a nonnegative profile whose jumps
+cancel too much for the closed form. ``random_step_profiles`` yields step
 profiles as ``(edges, values)`` array rows, and ``bound_ratios`` takes
 them, grouped by piece count, one pass per small batch: a random suite
 costs one pass per batch instead of one per panel of every profile, the
@@ -30,6 +35,7 @@ Everything here is a pure function; safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -61,9 +67,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 # random_step_profiles draws 1.._MAX_PIECES nonzero pieces, jumps in (0, _BREAKPOINT_HIGH)
 _MAX_PIECES = 8
 _BREAKPOINT_HIGH = 0.95
-# bound_ratios evaluates a batch of P-piece profiles, P^2 * 96 square roots
-# each, in one pass once the batch holds this many roots (256 KB of float64)
+# bound_ratios evaluates a batch of P-piece profiles in one pass once the
+# batch could hold this many roots (256 KB of float64): P^2 * 96 per row if
+# every row took the quadrature, which a row with a negative value does; a
+# row with values >= 0 costs P (P - 1) / 2 pairs of the closed form
 _BATCH_ROOTS = 2**15
+# _j_norms_closed keeps a row's closed form while the magnitudes of its L2
+# summands add up to at most this multiple of their sum, which bounds the
+# rounding error; one of the 1000 profiles of seed 20240 exceeds it (3.4e3)
+_CLOSED_CANCELLATION = 2.0**10
 
 # Closed-form constants of the stability and convolution bounds:
 # ||v||_L2 <= C_L2_2D ||v||_TV^(1/2) ||Jv||_L2^(1/2),
@@ -232,24 +244,83 @@ def _t_knots(x, breakpoints, to_t, t_max) -> np.ndarray:
 
 
 def j_norms(v: PiecewiseConstantProfile) -> tuple[float, float]:
-    """(L1, L2) norms of J v over [0, 1] for a step profile."""
-    l1, l2 = _j_norms_stacked(v.edges, v.values)
-    return float(l1), float(l2)
+    """(L1, L2) norms of J v over [0, 1] for a step profile: in closed form
+    when every value is >= 0, by panel quadrature otherwise (see
+    ``_j_norms_stacked``)."""
+    l1, l2 = _j_norms_stacked(v.edges[None], v.values[None])
+    return float(l1[0]), float(l2[0])
 
 
 def _j_norms_stacked(edges: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L1, L2) norms of J v over [0, 1] for a stack of step profiles with
-    equal piece counts (``edges`` (..., P + 1), ``values`` (..., P)).
+    """(L1, L2) norms of J v over [0, 1] for a stack of B step profiles
+    with equal piece counts (``edges`` (B, P + 1), ``values`` (B, P)).
+
+    Each row takes one of two paths, chosen from its own values, so its
+    norms never depend on the rows stacked with it. A row whose values are
+    all >= 0 has J v >= 0 (J has a positive kernel), and both norms have
+    closed forms, ``_j_norms_closed``. J v of a row with a negative value
+    can change sign, so |J v| is integrated by ``_j_norms_quadrature``, as
+    is a row whose closed form cancels too much.
+    """
+    l1, l2, closed = _j_norms_closed(edges, values)
+    quadrature = ~closed
+    if quadrature.any():
+        l1[quadrature], l2[quadrature] = _j_norms_quadrature(edges[quadrature], values[quadrature])
+    return l1, l2
+
+
+def _j_norms_closed(edges: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L1, L2) norms of J v by the closed forms for values >= 0, and the
+    rows that they hold for: those with values >= 0 whose L2 is exact to
+    rounding.
+
+    ||J v||_L1 = 4 / (3 sqrt(pi)) sum_m v_m (e_(m+1)^(3/2) - e_m^(3/2)),
+    a sum of nonnegative terms. With the jumps a_k = v_k - v_(k+1) at the
+    edges b_k = e_(k+1) of ``_j_steps``, ||J v||_L2^2 = (4 / pi)
+    sum_(j,k) a_j a_k I(b_j, b_k), where I(lo, hi) = integral_0^lo
+    sqrt((lo - x) (hi - x)) dx is b^2 / 2 on the diagonal and, for lo < hi,
+    (lo + hi) / 4 sqrt(lo hi) - (hi - lo)^2 / 4 artanh(sqrt(lo / hi)).
+    Jumps of opposite sign cancel in that sum: a spike of width w high above
+    its neighbours leaves w^2 of summands near 1 (a spike of width 1e-9 gave
+    L2 = 0). So the L2 is exact only while the summands' magnitudes add up
+    to at most ``_CLOSED_CANCELLATION`` times their sum.
+    """
+    powers = edges**1.5
+    l1 = YOUNG_L1 * (values * (powers[:, 1:] - powers[:, :-1])).sum(axis=-1)
+    b = edges[:, 1:]
+    a = values.copy()
+    a[:, :-1] -= values[:, 1:]
+    j, k = _pairs(b.shape[-1])
+    lo, hi = b[:, j], b[:, k]
+    # near - far is 4 I(lo, hi), and ||J v||_L2^2 = (2 / pi) half_square
+    near = (lo + hi) * np.sqrt(lo * hi)
+    far = np.square(hi - lo) * np.arctanh(np.sqrt(lo / hi))
+    diagonal = np.square(a * b).sum(axis=-1)
+    pairs = a[:, j] * a[:, k]
+    half_square = diagonal + (pairs * (near - far)).sum(axis=-1)
+    magnitude = diagonal + (np.abs(pairs) * near).sum(axis=-1)  # near >= far >= 0
+    closed = (values >= 0.0).all(axis=-1) & (magnitude <= _CLOSED_CANCELLATION * half_square)
+    # a half_square that cancels to below 0 fails the test above
+    return l1, YOUNG_L2 * np.sqrt(np.maximum(half_square, 0.0)), closed
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (j, k), j < k, of the pairs among n edges."""
+    return np.triu_indices(n, 1)
+
+
+def _j_norms_quadrature(edges: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L1, L2) norms of J v for stacked step profiles of any sign.
 
     J v is piecewise smooth with square-root behaviour at the right edge of
     each panel between consecutive breakpoints, which ``_panel`` makes
     smooth, so its fixed Gauss-Legendre is exact to machine precision. The
     nodes of all panels of a profile go through ``_j_steps`` in one pass.
     """
-    x, w = _panel(edges[..., :-1, None], edges[..., 1:, None])
-    nodes = x.shape[:-2] + (x.shape[-2] * x.shape[-1],)
-    g = _j_steps(edges, values, x.reshape(nodes))
-    w = w.reshape(nodes)
+    x, w = _panel(edges[:, :-1, None], edges[:, 1:, None])
+    g = _j_steps(edges, values, x.reshape(len(x), -1))
+    w = w.reshape(len(w), -1)
     return np.sum(w * np.abs(g), axis=-1), np.sqrt(np.sum(w * g * g, axis=-1))
 
 
@@ -367,8 +438,9 @@ def bound_ratios(rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
     A row whose ``edges`` is not one entry longer than its ``values``, or
     that breaks the profile invariants, raises ValueError. Rows wait in one
     group per piece count P; a group is evaluated in one vectorised pass
-    once it holds ``_BATCH_ROOTS`` square roots (P^2 * 96 per row), which
-    bounds the memory held at once.
+    once it could hold ``_BATCH_ROOTS`` square roots (P^2 * 96 per row, the
+    cost of a row that takes the quadrature), which bounds the memory held
+    at once.
     """
     worst = dict.fromkeys(("l2_product_bound", "l1_product_bound", "young_l2", "young_l1"), 0.0)
     pending: dict[int, list] = {}  # piece count -> rows not yet evaluated

@@ -26,6 +26,7 @@ from abeltv import (
     random_step_profiles,
     stieltjes_inverse,
 )
+from abeltv.analytic import _j_norms_quadrature, _j_norms_stacked
 
 SQRT_PI = math.sqrt(math.pi)
 # the first three random_step_profiles(.., seed=9), as (edges[:-1], values)
@@ -265,7 +266,37 @@ class TestJNorms:
         for trailing_zero in (True, False):
             for _ in range(5):
                 v = step_profile(rng, pieces, trailing_zero)
-                assert_allclose(j_norms(v), j_norms_reference(v), rtol=1e-13, atol=0)
+                # signed values take the quadrature, nonnegative ones the closed forms
+                for w in (v, PiecewiseConstantProfile(v.breakpoints, np.abs(v.values))):
+                    assert_allclose(j_norms(w), j_norms_reference(w), rtol=1e-13, atol=0)
+
+    def test_breakpoints_1e9_apart_match_quadrature(self):
+        # the closed form's artanh(sqrt(lo / hi)) at lo / hi = 1 - 2e-9
+        v = profile([0.0, 0.5, 0.5 + 1e-9], [1.0, 0.4, 0.0])
+        assert_allclose(j_norms(v), j_norms_reference(v), rtol=1e-13, atol=0)
+
+    def test_rows_do_not_depend_on_their_batch_mates(self):
+        # a signed row, two nonnegative ones and a spike of width 1e-9 whose
+        # closed form cancels to L2 = 0, so it takes the quadrature
+        rng = np.random.default_rng(41)
+        signed = step_profile(rng, 4)
+        assert (signed.values < 0.0).any()
+        rows = [
+            signed,
+            profile([0.0, 0.2, 0.6, 0.7], [0.3, 0.9, 0.1, 0.0]),
+            profile([0.0, 0.5, 0.5 + 1e-9, 0.8], [0.0, 1.0, 0.0, 0.0]),
+            profile([0.0, 0.1, 0.3, 0.9], [1.0, 0.0, 0.5, 0.25]),
+        ]
+        edges = np.array([v.edges for v in rows])
+        values = np.array([v.values for v in rows])
+        stacked = np.array(_j_norms_stacked(edges, values))
+        for i, v in enumerate(rows):
+            alone = np.array(_j_norms_stacked(edges[i : i + 1], values[i : i + 1]))
+            assert stacked[:, i].tobytes() == alone[:, 0].tobytes()
+            assert np.array(j_norms(v)).tobytes() == alone[:, 0].tobytes()
+        spike = np.array(_j_norms_quadrature(edges[2:3], values[2:3]))
+        assert stacked[:, 2].tobytes() == spike[:, 0].tobytes()
+        assert stacked[1, 2] > 0.0
 
     @pytest.mark.parametrize("pieces", range(1, 10))
     def test_j_transform_matches_closed_form_reference(self, pieces):
@@ -298,6 +329,7 @@ class TestIndicatorFamily:
         g_l1, g_l2 = j_norms(fam.profile)
         assert g_l1 == pytest.approx(fam.norms["g_l1"], abs=1e-7)
         assert g_l2 == pytest.approx(fam.norms["g_l2"], abs=1e-7)
+        assert_allclose([g_l1, g_l2], [fam.norms["g_l1"], fam.norms["g_l2"]], rtol=1e-14, atol=0)
         assert fam.profile.norm_l1() == pytest.approx(fam.norms["v_l1"], abs=1e-14)
         assert fam.profile.norm_l2() == pytest.approx(fam.norms["v_l2"], abs=1e-14)
 

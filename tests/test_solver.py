@@ -201,7 +201,7 @@ class TestSolveTV:
         assert str(exc.value) == f"non-finite iterate at iteration {exc.value.iteration}"
 
     def test_record_points_only_read(self):
-        # a record point evaluates the energy in the dead p and u_new and
+        # a record point evaluates the energy in the dead old v and old u and
         # checks u: the outputs do not depend on how often it runs
         grid, A, u0, f0, f = noisy_instance(16)
         results = [
