@@ -13,8 +13,8 @@ same steps blow the iteration up.
 
 One iteration of the saddle-point scheme, from (u, v, w):
 
-    p = v + gamma * D w
-    v = p / max(1, |p|)            per-cell Euclidean magnitude
+    v = v + gamma * D w
+    v = v / max(1, |v|)            per-cell Euclidean magnitude
     q = u + tau * D* v             (D* = negative backward-difference div)
     u = (I + tau lambda A^T A)^(-1) (q + tau lambda A^T f)
     w = 2 u_new - u_old
@@ -32,19 +32,19 @@ pin it to one unless the user set it, and library callers keep their own).
 
 K and c are formed before the buffers; with c, the iteration lives in
 eight (n_r, n_z) arrays allocated once per solve: u, u_new, one buffer for
-w and q, and the pairs v and p. Each buffer serves as scratch while its
-value is dead:
+w and q, the dual v, updated in place, and p. Each buffer keeps one role
+for the whole solve, and only u and u_new trade names, once per iteration:
 
 * w and q share a buffer: the gradient reads w before q is written, and
   w is rewritten only after the product K q has consumed q;
-* the projection squares into the old v, dead once p = v + gamma D w;
-* the divergence's scratch is u_new, which holds the previous u, dead
-  from the update of w until K q is written into it;
-* the energy at a record point is evaluated in the old v and the old u.
+* p holds only values that die at the next step: gamma D w until it is
+  added to v, then the projection's squares and gathers, then the
+  divergence's scratch p[0], then a record point's differences;
+* u_new holds the previous u, dead once w is formed: a record point
+  takes it for the energy's residual, and then K q is written into it.
 
-(u, u_new) and (v, p) trade places every iteration, so the gradient and
-divergence steps (``operators``) are bound to their buffers twice per
-solve, once for each parity, and no stencil view is made in the loop.
+So the gradient and divergence steps (``operators``) are bound to their
+buffers once per solve, and no stencil view is made in the loop.
 
 The projection changes only the cells with |p|^2 > 1, or NaN, which it
 marks in a bool array of one byte per cell, made once per solve: elsewhere
@@ -240,34 +240,29 @@ def _iterate(A: AbelMatrix, f: ProjectionField, params: SolverParams) -> tuple[n
     u, u_new, wq = np.zeros_like(c), np.empty_like(c), np.zeros_like(c)
     v, p = np.zeros((2,) + c.shape), np.empty((2,) + c.shape)
 
-    def bind(u, u_new, v, p):
-        return u, u_new, v, p, _gradient_step(wq, p), _divergence_step(p, wq, u_new)
-
-    # (u, u_new) and (v, p) trade places every iteration, so the steps are
-    # bound once for each parity; iteration 1 takes the buffers as made
-    parities = (bind(u, u_new, v, p), bind(u_new, u, p, v))
+    grad, div = _gradient_step(wq, p), _divergence_step(v, wq, p[0])
     trace: list[tuple[int, float]] = []
     for it in range(1, params.max_iter + 1):
-        u, u_new, v, p, grad, div = parities[(it - 1) % 2]
-        # p = v + gamma * D w, then p / max(1, |p|) is the new v
+        # p = gamma * D w, then v + p projected onto the unit ball is the new v
         grad()
         p *= gamma
-        p += v
-        _project_unit_ball_inplace(p, v, marked)
+        v += p
+        _project_unit_ball_inplace(v, p, marked)
         # q = u + tau * D* v, then u_new = K q + c
         div()
         wq *= tau
         wq += u
         np.matmul(K, wq, out=u_new)
         u_new += c
-        # w = 2 u_new - u
+        # w = 2 u_new - u, and u_new is the new u
         np.multiply(u_new, 2.0, out=wq)
         wq -= u
+        u, u_new = u_new, u
         if it % params.record_every == 0 or it == params.max_iter:
-            if not np.isfinite(u_new).all():
+            if not np.isfinite(u).all():
                 raise SolverDivergedError(it)
-            trace.append((it, _energy(u_new, A.entries, f.values, lam, f.grid.h, v, u)))
-    return u_new, p, trace
+            trace.append((it, _energy(u, A.entries, f.values, lam, f.grid.h, p, u_new)))
+    return u, v, trace
 
 
 def solve_onion_peeling(A: AbelMatrix, f: ProjectionField) -> RadialField:

@@ -200,13 +200,15 @@ class TestSolveTV:
         assert exc.value.iteration in (4, 8, 10)
         assert str(exc.value) == f"non-finite iterate at iteration {exc.value.iteration}"
 
-    def test_record_points_only_read(self):
-        # a record point evaluates the energy in the dead old v and old u and
-        # checks u: the outputs do not depend on how often it runs
+    @pytest.mark.parametrize("max_iter", [49, 50])
+    def test_record_points_only_read(self, max_iter):
+        # a record point evaluates the energy in the dead p and old u and
+        # checks u: the outputs do not depend on how often it runs, whether
+        # the solve ends on an odd or an even iteration
         grid, A, u0, f0, f = noisy_instance(16)
         results = [
-            solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=50, record_every=every))
-            for every in (1, 7, 50)
+            solve_tv(A, f, SolverParams(lam=80.0, tau=0.2, gamma=0.2, max_iter=max_iter, record_every=every))
+            for every in (1, 7, max_iter)
         ]
         outputs = {
             (r.u_star.values.tobytes(), r.dual.values.tobytes(), np.float64(r.final_energy).tobytes(),
@@ -214,7 +216,7 @@ class TestSolveTV:
             for r in results
         }
         assert len(outputs) == 1
-        assert [len(r.energy_trace) for r in results] == [50, 8, 1]
+        assert [len(r.energy_trace) for r in results] == [max_iter, math.ceil(max_iter / 7), 1]
 
     def test_shape_mismatch(self):
         A = build_abel_matrix(make_grids(8)[0])
@@ -289,15 +291,17 @@ class TestSolveTV:
         assert [it for it, _ in got.energy_trace] == [it for it, _ in trace]
         assert_allclose([e for _, e in got.energy_trace], [e for _, e in trace], rtol=1e-12)
 
-    def test_bytes_equal_public_operators_iteration(self):
+    @pytest.mark.parametrize("n_iter", [39, 40])
+    def test_bytes_equal_public_operators_iteration(self, n_iter):
         # The solver's loop against the same iteration written with the
         # public operators, the same K and c, and allocating arithmetic:
-        # every byte of u*, the dual and the energy trace agrees. The share
-        # of dual cells outside the unit ball is 0 at first, about 4% at
-        # iteration 10 and 16% at 20, so the projection runs with no such
-        # cell, on those cells alone, and over every cell.
+        # every byte of u*, the dual and the energy trace agrees, after an
+        # odd and an even number of iterations. The share of dual cells
+        # outside the unit ball is 0 at first, about 4% at iteration 10 and
+        # 16% at 20, so the projection runs with no such cell, on those
+        # cells alone, and over every cell.
         grid, A, u0, f0, f = noisy_instance(16)
-        tau, gamma, lam, n_iter = 0.2, 0.2, 80.0, 40
+        tau, gamma, lam = 0.2, 0.2, 80.0
         got = solve_tv(A, f, SolverParams(lam=lam, tau=tau, gamma=gamma, max_iter=n_iter, record_every=5))
 
         K = _primal_operator(A, tau, lam)
@@ -314,7 +318,7 @@ class TestSolveTV:
             u_new = np.matmul(K, q) + c
             w = 2.0 * u_new - u
             u = u_new
-            if it % 5 == 0:
+            if it % 5 == 0 or it == n_iter:
                 trace.append((it, energy(RadialField(grid, u), A, f, lam)))
 
         assert shares[0] == 0.0 and 0.0 < shares[9] <= 1 / 8 < shares[19]
