@@ -1,25 +1,25 @@
 """Forward projection and exact unregularized inversion.
 
-Walks through the basic pipeline: build the matched cylindrical/Cartesian
-grids, rasterize a phantom, project it with the onion-peeling matrix, and
-invert the (noise-free) projection exactly by back-substitution.
+Walks through the basic pipeline: build the cylindrical grid, rasterize a
+phantom, project it with the onion-peeling matrix, and invert the
+(noise-free) projection exactly by back-substitution.
 """
 
 import numpy as np
 
 from abeltv import (
+    GridRZ,
     RadialField,
     apply_abel,
     build_abel_matrix,
     builtin_phantom,
-    make_grids,
     norm_l2_vh,
     rasterize_phantom,
     solve_onion_peeling,
 )
 
 n_r = 64
-grid, g3 = make_grids(n_r)
+grid = GridRZ(n_r)
 print(f"grids: {grid.n_r} radial cells, {grid.n_z} axial samples, h = {grid.h}")
 
 A = build_abel_matrix(grid)
@@ -41,7 +41,7 @@ print(f"back-substitution on clean data recovers the phantom: "
       f"max abs error {err:.2e}")
 
 # the projection of the unit disc is the chord length, a quick sanity check
-grid2, _ = make_grids(16)
+grid2 = GridRZ(16)
 A2 = build_abel_matrix(grid2)
 disc = RadialField(grid2, np.ones((16, 33)))
 f_disc = apply_abel(A2, disc)

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 from abeltv import (
+    GridRZ,
     NoiseSpec,
     RadialField,
     SolverParams,
@@ -18,7 +19,6 @@ from abeltv import (
     build_abel_matrix,
     builtin_phantom,
     energy,
-    make_grids,
     norm_l2_uh,
     norm_l2_vh,
     rasterize_phantom,
@@ -28,7 +28,7 @@ from abeltv import (
 )
 
 n_r = 64
-grid, g3 = make_grids(n_r)
+grid = GridRZ(n_r)
 A = build_abel_matrix(grid)
 u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
 f0 = apply_abel(A, u0)
@@ -46,7 +46,7 @@ solve_s = time.perf_counter() - t0
 
 def err_uh(u):
     diff = RadialField(grid, u.values - u0.values)
-    return norm_l2_uh(revolve(diff, g3), grid.h)
+    return norm_l2_uh(revolve(diff, grid), grid.h)
 
 
 print(f"onion peeling error  ||u - u0||_l2(U_h) = {err_uh(u_op):.4f}")

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .grids import GridRZ, _shown, make_grids
+from .grids import GridRZ, _shown
 from .metrics import bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
@@ -194,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     of the runs it finished."""
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid, g3 = make_grids(cfg.grid_n)
+    grid = GridRZ(cfg.grid_n)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(cfg.phantom, grid)
     f0 = apply_abel(A, u0)
@@ -203,7 +203,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     outcomes: list[RunOutcome] = []
     rows = [RESULTS_HEADER]
     for i, run in enumerate(cfg.runs):
-        outcomes.append(_run(i, run, A, u0, u0_csv, f0, g3, out_dir))
+        outcomes.append(_run(i, run, A, u0, u0_csv, f0, out_dir))
         rows.append(",".join(str(getattr(outcomes[-1], name)) for name in _COLUMNS))  # str(float) is repr(float)
         tmp = out_dir / "results.csv.tmp"
         tmp.write_text("\n".join(rows) + "\n")
@@ -211,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunOutcome]:
     return outcomes
 
 
-def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> RunOutcome:
+def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, out_dir: Path) -> RunOutcome:
     """Solve, report and dump run ``i`` from the shared inputs, ``u0_csv``
     being u0's dump; any Exception is returned as the failed outcome."""
     vf = run.noise.variance_fraction
@@ -221,7 +221,7 @@ def _run(i: int, run: RunSpec, A, u0, u0_csv: bytes, f0, g3, out_dir: Path) -> R
         result = solve_tv(A, f, run.solver)
         solve_s = time.perf_counter() - t0
         f_star = apply_abel(A, result.u_star)
-        report = bound_report(result.u_star, u0, f_star, f, f0, g3)
+        report = bound_report(result.u_star, u0, f_star, f, f0, u0.grid)
         trace = ["iteration,energy", *(f"{it},{float(e)!r}" for it, e in result.energy_trace)]
         (out_dir / f"run{i:02d}_energy.csv").write_text("\n".join(trace) + "\n")
         (out_dir / f"run{i:02d}_u0.csv").write_bytes(u0_csv)

@@ -2,16 +2,14 @@
 
 Conventions
 -----------
-All computations live on the unit cylinder. Two grids appear:
-
-* ``GridRZ`` -- the cylindrical (r, z) grid. The radial axis [0, 1] is split
-  into ``n_r`` cells of width ``h = 1/n_r``; cell ``j`` (1-based) occupies
-  ``[(j-1)h, jh]`` and measurement abscissae sit at the left cell edges,
-  ``x_i = (i-1)h``. The axial axis covers [-1, 1] with the same spacing,
-  giving ``n_z = 2*n_r + 1`` samples.
-* ``GridXYZ`` -- the revolved Cartesian grid, its resolution ``n`` alone:
-  ``revolve`` samples x, y in [-1, 1] and z in [0, 1] at spacing ``1/n``,
-  an array of shape (2n+1, 2n+1, n+1).
+All computations live on the unit cylinder, on one grid type, ``GridRZ``,
+the cylindrical (r, z) grid. The radial axis [0, 1] is split into ``n_r``
+cells of width ``h = 1/n_r``; cell ``j`` (1-based) occupies ``[(j-1)h, jh]``
+and measurement abscissae sit at the left cell edges, ``x_i = (i-1)h``. The
+axial axis covers [-1, 1] with the same spacing, giving ``n_z = 2*n_r + 1``
+samples. The revolved Cartesian lattice is fixed by n_r too: ``revolve``
+samples x, y in [-1, 1] and z in [0, 1] at spacing h, an array of shape
+(2n_r+1, 2n_r+1, n_r+1).
 
 Every number a record holds follows one of two value rules, whose
 ValueError names the field: ``_integer`` for counts (an integral int or
@@ -40,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "GridRZ",
-    "GridXYZ",
     "RadialField",
     "ProjectionField",
     "DualField",
@@ -139,30 +136,11 @@ class GridRZ:
         return -1.0 + np.arange(self.n_z) * self.h
 
 
-@dataclass(frozen=True)
-class GridXYZ:
-    """Revolved Cartesian grid: x, y in [-1, 1], z in [0, 1], spacing 1/n."""
-
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n", 2))
-
-
-def make_grids(n_r: int) -> tuple[GridRZ, GridXYZ]:
-    """Build the matched cylindrical and Cartesian grids for ``n_r`` cells.
-
-    Parameters
-    ----------
-    n_r : int
-        Number of radial cells, 2 to 2048 (``_MAX_N_R``). The spacing is h = 1/n_r.
-
-    Returns
-    -------
-    (GridRZ, GridXYZ)
-        Grids sharing the same spacing.
-    """
-    return GridRZ(n_r), GridXYZ(n_r)
+def make_grids(n_r: int) -> tuple[GridRZ, GridRZ]:
+    """``GridRZ(n_r)``, returned twice: kept only for the benchmark's call
+    shape, which unpacks a pair, until the benchmark drops it (ROADMAP item 3)."""
+    grid = GridRZ(n_r)
+    return grid, grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +235,7 @@ class DualField(_Field2D):
     _lead = (2,)
 
 
-def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
+def revolve(u: RadialField, g3: GridRZ) -> np.ndarray:
     """Sample an (r, z) field on the revolved Cartesian grid.
 
     The output at (x_i, y_j, z_k) equals the field value on the radial cell
@@ -268,25 +246,25 @@ def revolve(u: RadialField, g3: GridXYZ) -> np.ndarray:
     Parameters
     ----------
     u : RadialField
-    g3 : GridXYZ
-        Must have the resolution of ``u.grid`` (``g3.n == u.grid.n_r``).
+    g3 : GridRZ
+        Must equal ``u.grid``, else ValueError; kept only for the benchmark's
+        call shape, until the benchmark drops it (ROADMAP item 3).
 
     Returns
     -------
-    ndarray of shape (2n+1, 2n+1, n+1)
+    ndarray of shape (2n+1, 2n+1, n+1), n = ``u.grid.n_r``
     """
+    _check_matched(u.grid, g3)
     n = u.grid.n_r
-    inside, cell = _lattice_cells(u.grid, g3)
+    inside, cell = _lattice_cells(n)
     # Axial samples z_k = k*h correspond to rows n..2n of the (r, z) field.
     upper = u.values[:, n:]
     return np.where(inside[:, :, None], upper[cell, :], 0.0)
 
 
-def _lattice_cells(grid: GridRZ, g3: GridXYZ) -> tuple[np.ndarray, np.ndarray]:
-    """``_radial_cells`` of every (x, y) lattice point of ``g3``; shape
-    (2n+1, 2n+1) each."""
-    _check_matched(grid, g3)
-    n = grid.n_r
+def _lattice_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_radial_cells`` of every (x, y) point of the revolved lattice of
+    ``GridRZ(n)``; shape (2n+1, 2n+1) each."""
     a = np.arange(-n, n + 1, dtype=np.int64)
     return _radial_cells(a[:, None] ** 2 + a[None, :] ** 2, n)
 
@@ -299,14 +277,12 @@ def _radial_cells(s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return s < n * n, np.minimum(np.sqrt(s).astype(np.int64), n - 1)
 
 
-def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
-    """Number of (x, y) lattice points of ``g3`` that ``revolve`` reads from
-    each radial cell (length n_r). Counts the quadrant a >= 1, b >= 0 of
-    lattice indices: its four rotations by 90 degrees tile the lattice
-    without the origin and keep a^2 + b^2, so each count is 4 times the
-    quadrant's, plus the origin in cell 0."""
-    _check_matched(grid, g3)
-    n = grid.n_r
+def _lattice_cell_counts(n: int) -> np.ndarray:
+    """Number of (x, y) points of the revolved lattice of ``GridRZ(n)`` that
+    ``revolve`` reads from each radial cell (length n). Counts the quadrant
+    a >= 1, b >= 0 of lattice indices: its four rotations by 90 degrees tile
+    the lattice without the origin and keep a^2 + b^2, so each count is 4
+    times the quadrant's, plus the origin in cell 0."""
     a = np.arange(n, dtype=np.int64)
     inside, cell = _radial_cells(a[1:, None] ** 2 + a[None, :] ** 2, n)
     counts = 4 * np.bincount(cell[inside], minlength=n)
@@ -314,6 +290,6 @@ def _lattice_cell_counts(grid: GridRZ, g3: GridXYZ) -> np.ndarray:
     return counts
 
 
-def _check_matched(grid: GridRZ, g3: GridXYZ) -> None:
-    if g3.n != grid.n_r:
-        raise ValueError(f"grid mismatch: GridXYZ(n={g3.n}) vs GridRZ(n_r={grid.n_r})")
+def _check_matched(grid: GridRZ, g3: GridRZ) -> None:
+    if g3 != grid:
+        raise ValueError(f"grid mismatch: g3 is {_shown(g3)}, the field's grid is {_shown(grid)}")

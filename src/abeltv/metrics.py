@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridXYZ, ProjectionField, RadialField, _lattice_cell_counts
+from .grids import GridRZ, ProjectionField, RadialField, _check_matched, _lattice_cell_counts
 from .operators import _gradient_step, _squared_magnitude
 
 __all__ = [
@@ -106,14 +106,17 @@ def bound_report(
     f_star: ProjectionField,
     f: ProjectionField,
     f0: ProjectionField,
-    g3: GridXYZ,
+    g3: GridRZ,
 ) -> BoundReport:
     """Assemble the diagnostic quantities for one reconstruction run.
 
     ||f - f0|| uses the realized noise (ground truth is in hand throughout
     the synthetic pipelines). Raises DegenerateInstanceError when the
-    denominator of c_star vanishes.
+    denominator of c_star vanishes. ``g3`` must equal ``u_star.grid``, else
+    ValueError; it is kept only for the benchmark's call shape, until the
+    benchmark drops it (ROADMAP item 3).
     """
+    _check_matched(u_star.grid, g3)
     h = u_star.grid.h
     c = max(tv_seminorm(u_star), tv_seminorm(u0))
     m = max(float(np.abs(u_star.values).max()), float(np.abs(u0.values).max()))
@@ -121,7 +124,7 @@ def bound_report(
     noise = norm_l2_vh(f.values - f0.values, h)
     m1 = (resid + noise) ** (1.0 / 3.0)
     # revolved norm of u* - u0 from per-cell lattice counts (module docstring)
-    counts = _lattice_cell_counts(u_star.grid, g3)
+    counts = _lattice_cell_counts(u_star.grid.n_r)
     upper = (u_star.values - u0.values)[:, u_star.grid.n_r :]
     err = float(np.sqrt(h**3 * np.sum(counts * (upper * upper).sum(axis=1))))
     denom = m1 * (4.0 * c * m) ** (1.0 / 3.0)

@@ -15,13 +15,13 @@ from abeltv import (
     DualField,
     ExperimentConfig,
     GridRZ,
-    GridXYZ,
     NoiseSpec,
     ProjectionField,
     RadialField,
     RunSpec,
     Shape,
     SolverParams,
+    bound_report,
     builtin_phantom,
     indicator_family,
     make_grids,
@@ -38,7 +38,7 @@ class TestMakeGrids:
         assert_array_equal(grid.x, [0.0, 0.5])
         assert_array_equal(grid.r_edges, [0.0, 0.5, 1.0])
         assert grid.n_z == 5
-        assert g3.n == 2
+        assert g3 is grid
 
     def test_reference_resolution(self):
         grid, _ = make_grids(128)
@@ -51,7 +51,6 @@ class TestMakeGrids:
 
     def test_grid_is_its_cell_count(self):
         assert [f.name for f in dataclasses.fields(GridRZ)] == ["n_r"]
-        assert [f.name for f in dataclasses.fields(GridXYZ)] == ["n"]
         grid = GridRZ(7)
         assert (grid.n_z, grid.h) == (15, 1.0 / 7)
         assert grid == make_grids(7)[0]
@@ -69,13 +68,12 @@ class TestMakeGrids:
         for n in (2, 3, 10, 100, 128):
             grid, g3 = make_grids(n)
             assert abs(grid.h * n - 1.0) <= 1e-15
-            assert g3.n == grid.n_r
+            assert g3 is grid
 
 
 # the records that hold counts, numbers or other records, each with admissible fields
 _RECORDS = {
     GridRZ: {"n_r": 8},
-    GridXYZ: {"n": 8},
     SolverParams: {"lam": 80.0, "tau": 0.2, "gamma": 0.2, "max_iter": 5000, "record_every": 100},
     NoiseSpec: {"variance_fraction": 0.001, "seed": 7},
     Shape: {"kind": "rect", "r": (0.0, 0.5), "z": (-0.5, 0.5), "level": 1.0},
@@ -94,7 +92,6 @@ _RECORDS[ExperimentConfig] = {
     [
         (GridRZ, "n_r", 2.5, "n_r must be an integer, got 2.5"),
         (GridRZ, "n_r", True, "n_r must be an integer, got True"),
-        (GridXYZ, "n", 2.5, "n must be an integer, got 2.5"),
         (SolverParams, "max_iter", 10.5, "max_iter must be an integer, got 10.5"),
         (SolverParams, "max_iter", "5", "max_iter must be an integer, got '5'"),
         (SolverParams, "max_iter", 0, "max_iter must be >= 1, got 0"),
@@ -105,7 +102,6 @@ _RECORDS[ExperimentConfig] = {
         (NoiseSpec, "seed", math.inf, "seed must be an integer, got inf"),
         # an integral float builds the same record as the int
         (GridRZ, "n_r", 8.0, None),
-        (GridXYZ, "n", 8.0, None),
         (SolverParams, "max_iter", 5000.0, None),
         (NoiseSpec, "seed", 7.0, None),
         # every other number is finite, and a bool or a string is no number
@@ -258,20 +254,22 @@ class TestRevolve:
         )
         assert_array_equal(out, want)
         counts = np.bincount(want[want > 0] - 1, minlength=n)
-        assert_array_equal(_lattice_cell_counts(grid, g3), counts)
+        assert_array_equal(_lattice_cell_counts(n), counts)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 12, 30, 64, 100, 128, 257, 1000])
     def test_quadrant_counts_match_full_lattice(self, n):
-        grid, g3 = make_grids(n)
-        inside, cell = _lattice_cells(grid, g3)
-        assert_array_equal(_lattice_cell_counts(grid, g3), np.bincount(cell[inside], minlength=n))
+        inside, cell = _lattice_cells(n)
+        assert_array_equal(_lattice_cell_counts(n), np.bincount(cell[inside], minlength=n))
 
     def test_grid_mismatch(self):
-        grid, _ = make_grids(4)
-        with pytest.raises(ValueError):
-            revolve(RadialField(grid, np.zeros((4, 9))), GridXYZ(8))
-        with pytest.raises(ValueError):
-            _lattice_cell_counts(grid, GridXYZ(8))
+        # g3 must be the field's grid; both public entries check it before
+        # any work, so bound_report's other arguments are never read
+        u = RadialField(GridRZ(4), np.zeros((4, 9)))
+        message = r"^grid mismatch: g3 is GridRZ\(n_r=8\), the field's grid is GridRZ\(n_r=4\)$"
+        with pytest.raises(ValueError, match=message):
+            revolve(u, GridRZ(8))
+        with pytest.raises(ValueError, match=message):
+            bound_report(u, u, None, None, None, GridRZ(8))
 
     def test_linearity_exact(self):
         grid, g3 = make_grids(6)
