@@ -92,6 +92,7 @@ _RECORDS[ExperimentConfig] = {
     [
         (GridRZ, "n_r", 2.5, "n_r must be an integer, got 2.5"),
         (GridRZ, "n_r", True, "n_r must be an integer, got True"),
+        (GridRZ, "n_r", 1, "n_r must be >= 2, got 1"),
         (SolverParams, "max_iter", 10.5, "max_iter must be an integer, got 10.5"),
         (SolverParams, "max_iter", "5", "max_iter must be an integer, got '5'"),
         (SolverParams, "max_iter", 0, "max_iter must be >= 1, got 0"),
@@ -103,6 +104,7 @@ _RECORDS[ExperimentConfig] = {
         # an integral float builds the same record as the int
         (GridRZ, "n_r", 8.0, None),
         (SolverParams, "max_iter", 5000.0, None),
+        (SolverParams, "record_every", 100.0, None),
         (NoiseSpec, "seed", 7.0, None),
         # every other number is finite, and a bool or a string is no number
         *(
