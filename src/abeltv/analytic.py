@@ -7,26 +7,27 @@ The two integral transforms of interest, for functions supported in [0, 1):
 
 related by (A u)(x) = sqrt(pi) * (J v)(x^2) with v(r^2) = u(r).
 
-Quadrature strategy: the kernel singularity at r = x is removed analytically
-by the substitution r = x + t^2 (resp. r^2 = x^2 + t^2), after which one
-fixed rule, ``_panel``, integrates each interval between knots; callers
-must declare every discontinuity or singular point of v as a breakpoint,
-so that a panel ends there. For piecewise-constant profiles J v has one
-closed form, written for stacks of profiles, which ``j_transform``
-returns. ``j_norms`` and ``bound_ratios`` take the L1 and L2 norms of J v
-in closed form for a profile whose values are all >= 0
-(``_j_norms_closed``; within 1e-14 of the quadrature on the 1000-profile
-suite). |J v| of a profile with a negative value can change sign, so its
-norms come from ``_panel`` on every piece of the closed form of J v, as
-do those of a nonnegative profile whose jumps cancel too much for the
-closed form; that quadrature loses digits on pieces thinner than about
-1e-4 (``_j_norms_quadrature``). ``random_step_profiles`` yields step
-profiles as ``(edges, values)`` array rows, and ``bound_ratios`` takes
-them, grouped by piece count, one pass per small batch: a random suite
-costs one pass per batch instead of one per panel of every profile, the
-memory held at once stays bounded, and no ``PiecewiseConstantProfile``
-is built per trial (the batch pass takes a batch's piece widths once, and
-checks the profile invariants and forms the norms of v from them).
+Quadrature strategy: ``j_transform`` removes the kernel singularity of a
+callable v at r = x analytically, after which one fixed rule, ``_panel``,
+integrates each interval between knots; callers must declare every
+discontinuity or singular point of v as a breakpoint, so that a panel ends
+there. ``abel_transform`` is that quadrature through the identity above.
+For piecewise-constant profiles J v has one closed form, written for stacks
+of profiles, which ``j_transform`` returns. ``j_norms`` and
+``bound_ratios`` take the L1 and L2 norms of J v in closed form for a
+profile whose values are all >= 0 (``_j_norms_closed``; within 1e-14 of the
+quadrature on the 1000-profile suite). |J v| of a profile with a negative
+value can change sign, so its norms come from ``_panel`` on every piece of
+the closed form of J v, as do those of a nonnegative profile whose jumps
+cancel too much for the closed form; that quadrature loses digits on pieces
+thinner than about 1e-4 (``_j_norms_quadrature``). ``random_step_profiles``
+yields step profiles as ``(edges, values)`` array rows, and
+``bound_ratios`` takes them, grouped by piece count, one pass per small
+batch: a random suite costs one pass per batch instead of one per panel of
+every profile, the memory held at once stays bounded, and no
+``PiecewiseConstantProfile`` is built per trial (the batch pass takes a
+batch's piece widths once, and checks the profile invariants and forms the
+norms of v from them).
 
 ``verify_bounds`` runs the whole suite that ``abeltv verify-bounds`` prints
 and maps each check's name to its ratio, which must stay <= 1.
@@ -180,21 +181,21 @@ def j_transform(v, x: float, breakpoints: Sequence[float] | None = None) -> floa
     x = _require_unit_interval(x)
     if isinstance(v, PiecewiseConstantProfile):
         return float(_j_steps(v.edges, v.values, np.array([x]))[0])
-    knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b - x), math.sqrt(1.0 - x))
-    return 2.0 * _quad(lambda t: v(x + t * t), knots) / _SQRT_PI
+    knots = {0.0, math.sqrt(1.0 - x)}
+    if breakpoints is not None:
+        knots.update(math.sqrt(b - x) for b in breakpoints if x < b < 1.0)
+    return 2.0 * _quad(lambda t: v(x + t * t), np.array(sorted(knots))) / _SQRT_PI
 
 
 def abel_transform(u, x: float, breakpoints: Sequence[float] | None = None) -> float:
-    """Line-of-sight projection (A u)(x) of a radial callable, x in [0, 1].
-
-    Uses the substitution r = sqrt(x^2 + t^2), so the integrand is simply
-    2 u(sqrt(x^2 + t^2)) on t in [0, sqrt(1 - x^2)], integrated as in
-    ``j_transform``; ``breakpoints`` lists every discontinuity or singular
-    point of u in (x, 1).
+    """Line-of-sight projection (A u)(x) of a radial callable, x in [0, 1]:
+    sqrt(pi) (J v)(x^2) with v(s) = u(sqrt(s)), by ``j_transform``'s
+    quadrature. ``breakpoints`` lists every discontinuity or singular point
+    of u in (x, 1).
     """
     x = _require_unit_interval(x)
-    knots = _t_knots(x, breakpoints, lambda b: math.sqrt(b * b - x * x), math.sqrt(1.0 - x * x))
-    return 2.0 * _quad(lambda t: u(math.sqrt(x * x + t * t)), knots)
+    squares = None if breakpoints is None else [b * b for b in breakpoints if b > x]
+    return _SQRT_PI * j_transform(lambda s: u(math.sqrt(s)), x * x, squares)
 
 
 def _quad(fn, knots: np.ndarray) -> float:
@@ -228,15 +229,6 @@ def _j_steps(edges: np.ndarray, values: np.ndarray, xs: np.ndarray) -> np.ndarra
     np.sqrt(roots, out=roots)
     falls = -np.diff(values, axis=-1, append=0.0)
     return 2.0 * (falls[..., None, :] @ roots)[..., 0, :] / _SQRT_PI
-
-
-def _t_knots(x, breakpoints, to_t, t_max) -> np.ndarray:
-    knots = {0.0, t_max}
-    if breakpoints is not None:
-        for b in breakpoints:
-            if x < b < 1.0:
-                knots.add(to_t(b))
-    return np.array(sorted(knots))
 
 
 def j_norms(v: PiecewiseConstantProfile) -> tuple[float, float]:
@@ -502,9 +494,9 @@ def verify_bounds(seed: int, trials: int) -> dict[str, float]:
     ks = (1.0, 2.0, 4.0, 8.0, 16.0)
     g_norms = {k: j_norms(members[k]) for k in ks}
 
-    slope_g_l1 = np.polyfit(np.log(ks), np.log([g_norms[k][0] for k in ks]), 1)[0]
-    slope_g_l2 = np.polyfit(np.log(ks), np.log([g_norms[k][1] for k in ks]), 1)[0]
-    slope_v_l2 = np.polyfit(np.log(ks), np.log([members[k].norm_l2() for k in ks]), 1)[0]
+    # one fit of the columns log ||J v_k||_L1, log ||J v_k||_L2, log ||v_k||_L2 over log k
+    logs = np.log([(*g_norms[k], members[k].norm_l2()) for k in ks])
+    slope_g_l1, slope_g_l2, slope_v_l2 = np.polyfit(np.log(ks), logs, 1)[0]
     ratios["decay_slope_g_l1 (-1.5 +/- 0.02)"] = abs(slope_g_l1 + 1.5) / 0.02
     ratios["decay_slope_g_l2 (-1.0 +/- 0.02)"] = abs(slope_g_l2 + 1.0) / 0.02
     ratios["decay_slope_v_l2 (-0.5 +/- 0.02)"] = abs(slope_v_l2 + 0.5) / 0.02

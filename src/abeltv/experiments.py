@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .grids import GridRZ, _shown
+from .grids import GridRZ, _prefixed, _shown
 from .metrics import bound_report
 from .operators import apply_abel, build_abel_matrix
 from .phantoms import NoiseSpec, Shape, _check_support, add_noise, builtin_phantom, rasterize_phantom
@@ -78,11 +78,9 @@ class ExperimentConfig:
             raise ValueError("runs must be nonempty")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a str or os.PathLike, got {_shown(self.output_dir)}")
-        try:
+        with _prefixed("grid_n"):
             grid = GridRZ(self.grid_n)
             _check_support(self.phantom, grid)
-        except ValueError as exc:
-            raise ValueError(f"grid_n: {exc}") from None
         object.__setattr__(self, "grid_n", grid.n_r)
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -98,24 +96,18 @@ class ExperimentConfig:
         checked by its record, whose ValueError names the field under the
         same prefix.
         """
-        try:
+        with _prefixed("config"):
             top = _fields(obj, ("grid_n", "phantom", "output_dir", "runs"))
             phantom = _phantom(top["phantom"])
             runs = _list(top["runs"], "runs")
-        except ValueError as exc:
-            raise ValueError(f"config: {exc}") from None
         specs = []
         for i, r in enumerate(runs):
-            try:
+            with _prefixed(f"run {i}"):
                 r = _fields(r, _RUN_KEYS, {"record_every": SolverParams.record_every})
                 solver = SolverParams(r["lambda"], r["tau"], r["gamma"], r["max_iter"], r["record_every"])
                 specs.append(RunSpec(solver, NoiseSpec(r["variance_fraction"], r["seed"])))
-            except ValueError as exc:
-                raise ValueError(f"run {i}: {exc}") from None
-        try:
+        with _prefixed("config"):
             return cls(top["grid_n"], phantom, specs, top["output_dir"])
-        except ValueError as exc:
-            raise ValueError(f"config: {exc}") from None
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -146,18 +138,14 @@ def _phantom(value) -> tuple[Shape, ...]:
     ``phantoms``) parsed as strictly as the rest of the config."""
     if isinstance(value, str):
         return builtin_phantom(value)
-    try:
+    with _prefixed("phantom: malformed inline phantom"):
         shapes = _list(_fields(value, ("shapes",))["shapes"], "shapes")
         return tuple(_shape(s, i) for i, s in enumerate(shapes))
-    except ValueError as exc:
-        raise ValueError(f"phantom: malformed inline phantom: {exc}") from None
 
 
 def _shape(obj, i: int) -> Shape:
-    try:
+    with _prefixed(f"shape {i}"):
         return Shape(**_fields(obj, ("kind", "r", "z", "level")))
-    except ValueError as exc:
-        raise ValueError(f"shape {i}: {exc}") from None
 
 
 _RUN_KEYS = ("variance_fraction", "lambda", "tau", "gamma", "max_iter", "seed", "record_every")

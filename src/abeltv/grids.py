@@ -30,6 +30,7 @@ wrong row count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -68,6 +69,15 @@ def _shown(value) -> str:
         return repr(value)
     except Exception:
         return f"an int of {value.bit_length()} bits" if isinstance(value, int) else object.__repr__(value)
+
+
+@contextlib.contextmanager
+def _prefixed(label):
+    """Re-raise a ValueError from the block as one that names ``label`` first: ``<label>: <message>``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
 
 def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -188,7 +198,7 @@ class _Field2D:
     def from_csv(cls, path):
         """Read a field that ``to_csv`` wrote; the module docstring lists the
         errors."""
-        try:
+        with _prefixed(path):
             with open(path) as fh:
                 header = fh.readline()
                 lines = [line for line in fh if line.strip()]
@@ -203,8 +213,6 @@ class _Field2D:
             rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
             # the rows run over the leading axes too; the field checks the shape
             return cls(grid, rows.reshape(cls._lead + (-1, rows.shape[1])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
 
 
 class RadialField(_Field2D):

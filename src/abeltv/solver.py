@@ -153,6 +153,7 @@ def _project_unit_ball_inplace(p: np.ndarray, scratch: np.ndarray, marked: np.nd
         p /= s
     elif count:
         cells = np.flatnonzero(marked)
+        # gathered into dead scratch, not fresh arrays, so a solve's peak memory stays flat
         dead = _flat(scratch[1])
         mag, part = dead[:count], dead[count : 2 * count]
         # mode="clip" gathers into ``out`` itself, where "raise" buffers it

@@ -14,6 +14,7 @@ import pytest
 
 from abeltv import (
     ExperimentConfig,
+    GridRZ,
     NoiseSpec,
     RadialField,
     RunSpec,
@@ -27,7 +28,6 @@ from abeltv import (
     indicator_family,
     j_norms,
     j_transform,
-    make_grids,
     norm_l2_uh,
     norm_l2_vh,
     random_step_profiles,
@@ -73,7 +73,7 @@ def experiment128(tmp_path_factory):
 @pytest.fixture(scope="module")
 def convergence64():
     """Reference trajectory for the rate check: 50 000 iterations at n_r=64."""
-    grid, _ = make_grids(64)
+    grid = GridRZ(64)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
     f = add_noise(apply_abel(A, u0), NoiseSpec(variance_fraction=0.0005, seed=7))
@@ -92,7 +92,7 @@ def convergence64():
 
 def test_criterion_1_gradient_divergence_adjointness():
     t0 = time.perf_counter()
-    grid, _ = make_grids(64)
+    grid = GridRZ(64)
     h = grid.h
     rng = np.random.default_rng(20240)
     worst = 0.0
@@ -115,7 +115,7 @@ def test_criterion_1_gradient_divergence_adjointness():
 
 def test_criterion_2_onion_peeling_exactness():
     t0 = time.perf_counter()
-    grid, _ = make_grids(128)
+    grid = GridRZ(128)
     A = build_abel_matrix(grid)
     rng = np.random.default_rng(8)
     u = RadialField(grid, rng.uniform(0.0, 1.0, size=(128, 257)))
@@ -230,13 +230,13 @@ def test_criterion_8_tv_beats_onion_peeling(experiment128):
     cfg, outcomes, _ = experiment128
     # rebuild the sigma^2 = 0.05% instance bit-identically from its seed
     idx = NOISE_LEVELS.index(0.0005)
-    grid, g3 = make_grids(cfg.grid_n)
+    grid = GridRZ(cfg.grid_n)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(cfg.phantom, grid)
     f = add_noise(apply_abel(A, u0), NoiseSpec(variance_fraction=0.0005, seed=SEEDS[idx]))
     u_op = solve_onion_peeling(A, f)
     diff = RadialField(grid, u_op.values - u0.values)
-    err_op = norm_l2_uh(revolve(diff, g3), grid.h)
+    err_op = norm_l2_uh(revolve(diff, grid), grid.h)
     err_tv = outcomes[idx].err_l2_uh
     elapsed = time.perf_counter() - t0
     assert err_tv < err_op

@@ -1,17 +1,12 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-import abeltv
 from abeltv import (
     C_L1_2D,
     C_L2_2D,
@@ -102,26 +97,18 @@ def bound_ratios_reference(profiles):
     return worst
 
 
-def fresh_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's abeltv."""
-    env = dict(os.environ)
-    src = str(Path(abeltv.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-
-
-def test_import_does_not_load_scipy_integrate():
+def test_import_does_not_load_scipy_integrate(python):
     # the package is numpy-only; scipy.integrate is the tests' oracle alone.
     # The CSV kernel in abeltv._shortest is compiled on the first dump, not
     # at start-up: a module-level import of it would slip in unseen behind
     # the import of the package's modules.
     loaded = "[m in sys.modules for m in ('scipy.integrate', 'abeltv._shortest')]"
     code = f"import sys, abeltv, abeltv.cli; print({loaded})"
-    out = fresh_python(code)
-    assert out.stdout.strip() == "[False, False]"
+    out = python(["-c", code])
+    assert out.strip() == "[False, False]"
 
 
-def test_user_paths_load_no_scipy(tmp_path):
+def test_user_paths_load_no_scipy(tmp_path, python):
     # The import, `abeltv run`, `abeltv verify-bounds`, both solvers and the
     # panel quadrature behind j_transform/abel_transform on callables are
     # numpy-only, so no scipy import lands in start-up or in any call.
@@ -139,15 +126,15 @@ def test_user_paths_load_no_scipy(tmp_path):
         "import abeltv, abeltv.cli",
         f"assert abeltv.cli.main(['run', '--config', {str(cfg)!r}]) == 0",
         "assert abeltv.cli.main(['verify-bounds', '--trials', '5']) == 0",
-        "grid, _ = abeltv.make_grids(8)",
+        "grid = abeltv.GridRZ(8)",
         "abeltv.solve_onion_peeling(abeltv.build_abel_matrix(grid), abeltv.ProjectionField(grid, np.zeros((8, 17))))",
         "step = lambda r: 1.0 if r < 0.5 else 0.0",
         "assert abs(abeltv.j_transform(step, 0.1, breakpoints=[0.5]) - 2 * 0.4**0.5 / np.pi**0.5) < 1e-15",
         "assert abs(abeltv.abel_transform(step, 0.3, breakpoints=[0.5]) - 2 * 0.4) < 1e-15",
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
     ])
-    out = fresh_python(code)
-    assert out.stdout.splitlines()[-1] == "[]"
+    out = python(["-c", code])
+    assert out.splitlines()[-1] == "[]"
 
 
 class TestProfile:

@@ -25,7 +25,6 @@ from abeltv import (
     bound_report,
     build_abel_matrix,
     builtin_phantom,
-    make_grids,
     random_step_profiles,
     rasterize_phantom,
     run_experiment,
@@ -348,12 +347,12 @@ class TestRunExperiment:
     def test_record_holds_the_bound_report_of_its_dumps(self, tmp_path):
         # pins each column to the bound_report quantity of its name
         cfg = ExperimentConfig.from_dict(small_config(tmp_path))
-        grid, g3 = make_grids(cfg.grid_n)
+        grid = GridRZ(cfg.grid_n)
         f0 = apply_abel(build_abel_matrix(grid), rasterize_phantom(cfg.phantom, grid))
         for i, out in enumerate(run_experiment(cfg)):
             u_star, u0 = (RadialField.from_csv(cfg.output_dir / f"run{i:02d}_{name}.csv") for name in ("ustar", "u0"))
             f_star, f = (ProjectionField.from_csv(cfg.output_dir / f"run{i:02d}_{name}.csv") for name in ("fstar", "f"))
-            rep = bound_report(u_star, u0, f_star, f, f0, g3)
+            rep = bound_report(u_star, u0, f_star, f, f0, grid)
             assert (out.err_l2_uh, out.resid_l2_vh, out.M1, out.c, out.M, out.c_star) == (
                 rep.err_l2_uh, rep.resid_l2_vh, rep.m1, rep.c, rep.m, rep.c_star
             )

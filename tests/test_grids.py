@@ -181,14 +181,14 @@ def test_records_hold_integer_counts(record, field, value, message):
 
 class TestFieldContainers:
     def test_shape_validation(self):
-        grid, _ = make_grids(4)
+        grid = GridRZ(4)
         with pytest.raises(ValueError):
             RadialField(grid, np.zeros((3, 9)))
         with pytest.raises(ValueError):
             DualField(grid, np.zeros((2, 4, 8)))
 
     def test_nonfinite_rejected(self):
-        grid, _ = make_grids(4)
+        grid = GridRZ(4)
         bad = np.zeros((4, 9))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ class TestFieldContainers:
         assert len({fam, twin}) == 2
 
     def test_values_immutable(self):
-        grid, _ = make_grids(4)
+        grid = GridRZ(4)
         u = RadialField(grid, np.zeros((4, 9)))
         with pytest.raises(ValueError):
             u.values[0, 0] = 1.0
@@ -214,15 +214,15 @@ class TestFieldContainers:
 
 class TestRevolve:
     def test_zero_field(self):
-        grid, g3 = make_grids(4)
-        out = revolve(RadialField(grid, np.zeros((4, 9))), g3)
+        grid = GridRZ(4)
+        out = revolve(RadialField(grid, np.zeros((4, 9))), grid)
         assert out.shape == (9, 9, 5)
         assert not out.any()
 
     def test_indicator_revolve(self):
-        grid, g3 = make_grids(8)
+        grid = GridRZ(8)
         u = RadialField(grid, np.ones((8, 17)))
-        out = revolve(u, g3)
+        out = revolve(u, grid)
         xy = np.arange(-8, 9) * grid.h
         rr = np.sqrt(xy[:, None] ** 2 + xy[None, :] ** 2)
         assert_array_equal(out[rr < 1.0, :], 1.0)
@@ -231,10 +231,10 @@ class TestRevolve:
     def test_single_annulus_cell_membership(self):
         # n_r = 2: cell 2 is [0.5, 1); the revolved field is nonzero exactly
         # where 0.5 <= sqrt(x^2 + y^2) < 1, checked sample by sample.
-        grid, g3 = make_grids(2)
+        grid = GridRZ(2)
         vals = np.zeros((2, 5))
         vals[1, :] = 3.0
-        out = revolve(RadialField(grid, vals), g3)
+        out = revolve(RadialField(grid, vals), grid)
         xy = np.arange(-2, 3) * grid.h
         for i, x in enumerate(xy):
             for j, y in enumerate(xy):
@@ -247,9 +247,9 @@ class TestRevolve:
         # lattice point (a, b) lies in cell isqrt(a^2 + b^2); at n = 12 and
         # 100 some radii fall exactly on a cell edge, where floor(r/h) in
         # floating point can land one cell low
-        grid, g3 = make_grids(n)
+        grid = GridRZ(n)
         label = np.repeat(np.arange(1.0, n + 1)[:, None], grid.n_z, axis=1)
-        out = revolve(RadialField(grid, label), g3)[:, :, 0]
+        out = revolve(RadialField(grid, label), grid)[:, :, 0]
         a = np.arange(-n, n + 1)
         want = np.array(
             [[math.isqrt(i * i + j * j) + 1 if i * i + j * j < n * n else 0 for j in a] for i in a]
@@ -274,14 +274,14 @@ class TestRevolve:
             bound_report(u, u, None, None, None, GridRZ(8))
 
     def test_linearity_exact(self):
-        grid, g3 = make_grids(6)
+        grid = GridRZ(6)
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 13))
         b = rng.normal(size=(6, 13))
         alpha, beta = 1.7, -0.3
-        lhs = revolve(RadialField(grid, alpha * a + beta * b), g3)
-        rhs = alpha * revolve(RadialField(grid, a), g3) + beta * revolve(
-            RadialField(grid, b), g3
+        lhs = revolve(RadialField(grid, alpha * a + beta * b), grid)
+        rhs = alpha * revolve(RadialField(grid, a), grid) + beta * revolve(
+            RadialField(grid, b), grid
         )
         assert_array_equal(lhs, rhs)
 
@@ -289,10 +289,10 @@ class TestRevolve:
     def test_cylindrical_integral_consistency(self, n_r):
         # Cartesian Riemann sum of the revolved field vs the cylindrically
         # weighted sum over the same axial rows, for a smooth radial profile.
-        grid, g3 = make_grids(n_r)
+        grid = GridRZ(n_r)
         profile = (1.0 - grid.r_centers**2) ** 2
         u = RadialField(grid, np.tile(profile[:, None], (1, grid.n_z)))
-        u3 = revolve(u, g3)
+        u3 = revolve(u, grid)
         cart = grid.h**3 * np.sum(u3**2)
         upper = u.values[:, n_r:]
         cyl = 2.0 * np.pi * grid.h**2 * np.sum(grid.r_centers[:, None] * upper**2)
@@ -341,7 +341,7 @@ def _expected_csv(field) -> bytes:
 class TestSerialization:
     @pytest.fixture
     def field(self):
-        grid, _ = make_grids(5)
+        grid = GridRZ(5)
         rng = np.random.default_rng(42)
         vals = rng.normal(size=(5, 11)) * np.pi
         vals[0, 0] = 1.0 / 3.0
@@ -362,14 +362,14 @@ class TestSerialization:
         assert header == "# grid n_r=5 n_z=11 h=0.2"
 
     def test_projection_field_roundtrip(self, tmp_path):
-        grid, _ = make_grids(3)
+        grid = GridRZ(3)
         f = ProjectionField(grid, np.random.default_rng(1).normal(size=(3, 7)))
         path = tmp_path / "f.csv"
         f.to_csv(path)
         assert_array_equal(ProjectionField.from_csv(path).values, f.values)
 
     def test_dual_field_roundtrip(self, tmp_path):
-        grid, _ = make_grids(3)
+        grid = GridRZ(3)
         d = DualField(grid, np.random.default_rng(2).normal(size=(2, 3, 7)))
         path = tmp_path / "d.csv"
         d.to_csv(path)

@@ -13,7 +13,6 @@ from abeltv import (
     bound_report,
     build_abel_matrix,
     builtin_phantom,
-    make_grids,
     norm_l2_uh,
     norm_l2_vh,
     rasterize_phantom,
@@ -36,8 +35,8 @@ class TestNormL2Uh:
     def test_revolved_unit_disc_volume(self):
         # Indicator of the unit disc over z-height 1 has squared norm equal
         # to the cylinder volume pi.
-        grid, g3 = make_grids(128)
-        u3 = revolve(RadialField(grid, np.ones((128, 257))), g3)
+        grid = GridRZ(128)
+        u3 = revolve(RadialField(grid, np.ones((128, 257))), grid)
         assert norm_l2_uh(u3, grid.h) == pytest.approx(np.sqrt(np.pi), rel=0.05)
 
 
@@ -46,7 +45,7 @@ class TestNormL2Vh:
         assert norm_l2_vh(np.zeros((4, 9)), 0.25) == 0.0
 
     def test_constant_over_domain(self):
-        grid, _ = make_grids(64)
+        grid = GridRZ(64)
         val = norm_l2_vh(np.ones((64, 129)), grid.h)
         assert abs(val - np.sqrt(2.0)) <= grid.h  # domain area 2, O(h) edge
 
@@ -74,7 +73,7 @@ class TestTVSeminorm:
     def test_interior_rectangle_perimeter(self):
         # Indicator of [0.3, 0.6] x [-0.4, 0.4]: all four edges interior,
         # TV equals the perimeter 2 * (0.3 + 0.8) up to O(h).
-        grid, _ = make_grids(128)
+        grid = GridRZ(128)
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
         u = ((R >= 0.3) & (R < 0.6) & (np.abs(Z) <= 0.4)).astype(float)
         a, b = 0.3, 0.8
@@ -83,7 +82,7 @@ class TestTVSeminorm:
     def test_boundary_cell_count_oracle(self):
         # Unit-level rectangle: TV = h * (number of jump cells), counted
         # directly from the index masks.
-        grid, _ = make_grids(32)
+        grid = GridRZ(32)
         h = grid.h
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
         u = ((R >= 0.25) & (R < 0.5) & (np.abs(Z) <= 0.25)).astype(float)
@@ -106,40 +105,40 @@ class TestTVSeminorm:
         # Regression pin: with the spacing-scaled gradient the phantom's TV
         # is its level-weighted boundary length, about 4.1 for the shipped
         # nested-annuli geometry.
-        grid, _ = make_grids(128)
+        grid = GridRZ(128)
         u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
         assert tv_seminorm(u0) == pytest.approx(4.10, abs=0.05)
 
 
 class TestBoundReport:
     def test_degenerate_instance(self):
-        grid, g3 = make_grids(8)
+        grid = GridRZ(8)
         z2 = RadialField(grid, np.zeros((8, 17)))
         f = ProjectionField(grid, np.zeros((8, 17)))
         with pytest.raises(DegenerateInstanceError):
-            bound_report(z2, z2, f, f, f, g3)
+            bound_report(z2, z2, f, f, f, grid)
 
     def test_sup_norm_of_a_negative_peak(self):
         # M is the largest magnitude, here u*'s one negative entry
-        grid, g3 = make_grids(8)
+        grid = GridRZ(8)
         u_star = np.full((8, 17), 0.5)
         u_star[3, 9] = -3.0
         u0 = RadialField(grid, np.full((8, 17), 2.0))
         f = ProjectionField(grid, np.ones((8, 17)))
         f0 = ProjectionField(grid, np.zeros((8, 17)))
-        rep = bound_report(RadialField(grid, u_star), u0, f, f, f0, g3)
+        rep = bound_report(RadialField(grid, u_star), u0, f, f, f0, grid)
         assert rep.m == 3.0
 
     def test_noise_free_run_small_ratio(self):
         # Consistent data and a hard fit: the reconstruction lands close to
         # the truth and the diagnostic ratio stays well below 1.
-        grid, g3 = make_grids(32)
+        grid = GridRZ(32)
         A = build_abel_matrix(grid)
         u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
         f0 = apply_abel(A, u0)
         result = solve_tv(A, f0, SolverParams(lam=1e5, tau=0.2, gamma=0.2, max_iter=3000))
         f_star = apply_abel(A, result.u_star)
-        report = bound_report(result.u_star, u0, f_star, f0, f0, g3)
+        report = bound_report(result.u_star, u0, f_star, f0, f0, grid)
         assert 0.0 < report.c_star < 0.5
         # near-interpolation regime: tiny overshoot above the phantom peak
         # is expected, exact peak preservation belongs to the moderate-lambda
@@ -150,7 +149,7 @@ class TestBoundReport:
     def test_quantity_definitions(self, n_r):
         # the revolved error norm is checked against revolve itself, at
         # power-of-two and other grid sizes
-        grid, g3 = make_grids(n_r)
+        grid = GridRZ(n_r)
         shape = (n_r, 2 * n_r + 1)
         rng = np.random.default_rng(4)
         u_star = RadialField(grid, rng.uniform(0, 1, shape))
@@ -158,7 +157,7 @@ class TestBoundReport:
         f_star = ProjectionField(grid, rng.normal(size=shape))
         f = ProjectionField(grid, rng.normal(size=shape))
         f0 = ProjectionField(grid, rng.normal(size=shape))
-        rep = bound_report(u_star, u0, f_star, f, f0, g3)
+        rep = bound_report(u_star, u0, f_star, f, f0, grid)
         h = grid.h
         assert rep.c == max(tv_seminorm(u_star), tv_seminorm(u0))
         assert rep.m == max(np.abs(u_star.values).max(), np.abs(u0.values).max())
@@ -167,7 +166,7 @@ class TestBoundReport:
         assert rep.resid_l2_vh == resid
         assert rep.m1 == pytest.approx((resid + noise) ** (1 / 3), rel=1e-14)
         diff = RadialField(grid, u_star.values - u0.values)
-        assert rep.err_l2_uh == pytest.approx(norm_l2_uh(revolve(diff, g3), h), rel=1e-14)
+        assert rep.err_l2_uh == pytest.approx(norm_l2_uh(revolve(diff, grid), h), rel=1e-14)
         assert rep.c_star == pytest.approx(
             rep.err_l2_uh / (rep.m1 * (4 * rep.c * rep.m) ** (1 / 3)), rel=1e-14
         )
@@ -175,14 +174,14 @@ class TestBoundReport:
     def test_no_revolved_grid_allocated(self):
         # The revolved grid at n_r = 256 holds 513 * 513 * 257 values
         # (516 MB); the lattice-count norm needs O(n_r^2) memory.
-        grid, g3 = make_grids(256)
+        grid = GridRZ(256)
         shape = (256, 513)
         rng = np.random.default_rng(8)
         u_star, u0 = (RadialField(grid, rng.uniform(0, 1, shape)) for _ in range(2))
         f_star, f, f0 = (ProjectionField(grid, rng.normal(size=shape)) for _ in range(3))
         tracemalloc.start()
         try:
-            bound_report(u_star, u0, f_star, f, f0, g3)
+            bound_report(u_star, u0, f_star, f, f0, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -192,14 +191,14 @@ class TestBoundReport:
         # tv_seminorm's difference pair (two (n_r, n_z) arrays) is the
         # largest allocation; the lattice counts take one quadrant of
         # n_r^2 points, not the (2n_r + 1)^2 lattice
-        grid, g3 = make_grids(256)
+        grid = GridRZ(256)
         shape = (256, 513)
         rng = np.random.default_rng(8)
         u_star, u0 = (RadialField(grid, rng.uniform(0, 1, shape)) for _ in range(2))
         f_star, f, f0 = (ProjectionField(grid, rng.normal(size=shape)) for _ in range(3))
         tracemalloc.start()
         try:
-            bound_report(u_star, u0, f_star, f, f0, g3)
+            bound_report(u_star, u0, f_star, f, f0, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,7 +15,6 @@ from abeltv import (
     build_abel_matrix,
     divergence,
     gradient,
-    make_grids,
 )
 from abeltv.operators import _divergence_step, _gradient_step
 
@@ -55,38 +54,38 @@ class TestAbelMatrix:
         assert build_abel_matrix(GridRZ(n)).entries.tobytes() == want.tobytes()
 
     def test_two_cell_entries(self):
-        grid, _ = make_grids(2)
+        grid = GridRZ(2)
         A = build_abel_matrix(grid)
         assert_allclose(A.entries, [[1.0, 1.0], [0.0, SQRT3]], atol=1e-15)
 
     def test_two_cell_row_sums_are_chord_lengths(self):
-        grid, _ = make_grids(2)
+        grid = GridRZ(2)
         A = build_abel_matrix(grid)
         assert_allclose(A.entries.sum(axis=1), [2.0, SQRT3], atol=1e-14)
         assert_allclose(A.entries.sum(axis=1), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-14)
 
     @pytest.mark.parametrize("n_r", [2, 7, 64, 128])
     def test_row_sum_identity(self, n_r):
-        grid, _ = make_grids(n_r)
+        grid = GridRZ(n_r)
         A = build_abel_matrix(grid)
         assert_allclose(A.entries.sum(axis=1), 2.0 * np.sqrt(1.0 - grid.x**2), atol=1e-12)
 
     @pytest.mark.parametrize("n_r", [2, 5, 33])
     def test_upper_triangular_positive_diagonal(self, n_r):
-        A = build_abel_matrix(make_grids(n_r)[0])
+        A = build_abel_matrix(GridRZ(n_r))
         assert_array_equal(np.tril(A.entries, -1), 0.0)
         assert (np.diag(A.entries) > 0).all()
         assert A.entries[-1, :-1].sum() == 0.0 and A.entries[-1, -1] > 0
 
     def test_entries_positive_on_upper_triangle(self):
-        A = build_abel_matrix(make_grids(16)[0])
+        A = build_abel_matrix(GridRZ(16))
         iu = np.triu_indices(16)
         assert (A.entries[iu] > 0).all()
 
 
 class TestApplyAbel:
     def test_unit_disc_projection(self):
-        grid, _ = make_grids(16)
+        grid = GridRZ(16)
         A = build_abel_matrix(grid)
         f = apply_abel(A, _field(grid, np.ones(16)))
         expected = 2.0 * np.sqrt(1.0 - grid.x**2)
@@ -94,26 +93,26 @@ class TestApplyAbel:
             assert_allclose(f.values[:, k], expected, atol=1e-13)
 
     def test_zero_field(self):
-        grid, _ = make_grids(8)
+        grid = GridRZ(8)
         A = build_abel_matrix(grid)
         assert not apply_abel(A, RadialField(grid, np.zeros((8, 17)))).values.any()
 
     def test_hand_matrix_vector_product(self):
-        grid, _ = make_grids(2)
+        grid = GridRZ(2)
         A = build_abel_matrix(grid)
         f = apply_abel(A, _field(grid, [1.0, 2.0]))
         assert_allclose(f.values[:, 0], [3.0, 2.0 * SQRT3], atol=1e-14)
 
     def test_dimension_mismatch(self):
-        A = build_abel_matrix(make_grids(4)[0])
+        A = build_abel_matrix(GridRZ(4))
         with pytest.raises(ValueError):
-            apply_abel(A, RadialField(make_grids(8)[0], np.zeros((8, 17))))
+            apply_abel(A, RadialField(GridRZ(8), np.zeros((8, 17))))
 
     def test_exact_on_cellwise_constant_fields(self):
         # Onion peeling integrates cell-wise-constant profiles exactly;
         # oracle is the continuous transform of the step profile by
         # singularity-aware quadrature.
-        grid, _ = make_grids(16)
+        grid = GridRZ(16)
         A = build_abel_matrix(grid)
         rng = np.random.default_rng(5)
         column = rng.uniform(0.0, 1.0, 16)
@@ -135,7 +134,7 @@ class TestApplyAbel:
 
         errs = {}
         for n_r in (32, 64, 128, 256):
-            grid, _ = make_grids(n_r)
+            grid = GridRZ(n_r)
             A = build_abel_matrix(grid)
             f = apply_abel(A, _field(grid, (1.0 - grid.r_centers**2) ** 2))
             exact = np.array([abel_transform(u, x) for x in grid.x])
@@ -147,7 +146,7 @@ class TestApplyAbel:
 
 class TestGradient:
     def test_constant_field(self):
-        grid, _ = make_grids(4)
+        grid = GridRZ(4)
         g = gradient(np.full((4, 9), 2.5), h=grid.h)
         assert not g.any()
 
@@ -188,7 +187,7 @@ class TestDivergence:
 
     def test_adjointness_random_pairs(self):
         # <grad u, p> = -<u, div p> to 1e-12 relative, 100 random pairs.
-        grid, _ = make_grids(64)
+        grid = GridRZ(64)
         h = grid.h
         rng = np.random.default_rng(7)
         for _ in range(100):

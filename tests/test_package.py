@@ -7,28 +7,13 @@ loaded numpy (on one thread) long ago.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import abeltv
 
 MODULES = ("analytic", "experiments", "grids", "metrics", "operators", "phantoms", "solver")
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def python(args, **env) -> str:
-    """stdout of a new interpreter on this checkout's abeltv, run with the
-    BLAS variables removed from the environment and then ``env`` set."""
-    full = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    src = str(Path(abeltv.__file__).resolve().parents[1])
-    full["PYTHONPATH"] = os.pathsep.join([src, full.get("PYTHONPATH", "")])
-    full.update(env)
-    return subprocess.run([sys.executable, *args], env=full, capture_output=True, text=True, check=True).stdout
-
-
-def test_import_loads_no_numpy_and_star_is_the_modules_all():
+def test_import_loads_no_numpy_and_star_is_the_modules_all(python):
     code = (
         "import sys, abeltv; print('numpy' in sys.modules); "
         "ns = {}; exec('from abeltv import *', ns); del ns['__builtins__']; print(sorted(ns))"
@@ -40,7 +25,7 @@ def test_import_loads_no_numpy_and_star_is_the_modules_all():
     assert names == str(sorted(union))
 
 
-def test_run_pipeline_loads_no_stability_suite():
+def test_run_pipeline_loads_no_stability_suite(python):
     code = "import sys, abeltv.experiments; print('abeltv.analytic' in sys.modules)"
     assert python(["-c", code]) == "False\n"
 
@@ -60,7 +45,7 @@ def test_a_name_set_on_the_root_wins(monkeypatch):
     assert abeltv.solve_tv == "traced"
 
 
-def test_cli_pins_blas_unless_the_count_is_set():
+def test_cli_pins_blas_unless_the_count_is_set(python):
     code = "import os, abeltv.cli; print([os.environ.get(v) for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')])"
     assert python(["-c", code]) == "['1', '1']\n"
     # a user's count wins
@@ -69,7 +54,7 @@ def test_cli_pins_blas_unless_the_count_is_set():
     assert python(["-c", "import numpy; " + code]) == "[None, None]\n"
 
 
-def test_run_bytes_do_not_depend_on_the_blas_variables(tmp_path):
+def test_run_bytes_do_not_depend_on_the_blas_variables(tmp_path, python):
     """``abeltv run`` with the BLAS variables unset writes the bytes of a run
     with ``OPENBLAS_NUM_THREADS=1``. At n_r = 128 the inverse and the K q
     product give other bits on two threads than on one. On a one-CPU

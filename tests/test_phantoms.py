@@ -9,13 +9,13 @@ from numpy.testing import assert_array_equal
 from abeltv import (
     BUILTIN_PHANTOM_NAMES,
     ExperimentConfig,
+    GridRZ,
     NoiseSpec,
     Shape,
     add_noise,
     apply_abel,
     build_abel_matrix,
     builtin_phantom,
-    make_grids,
     norm_l2_vh,
     rasterize_phantom,
 )
@@ -47,7 +47,7 @@ class TestShapes:
             Shape(kind, r, z, 1.0)
 
     def test_flat_rect_allowed(self):
-        grid, _ = make_grids(32)
+        grid = GridRZ(32)
         u = rasterize_phantom((Shape("rect", (0.0, 0.5), (0.25, 0.25), 1.0),), grid)
         assert_array_equal(u.values[:16, 40], 1.0)
         assert u.values.sum() == 16.0
@@ -79,14 +79,14 @@ def _parse_inline(phantom: dict) -> tuple[Shape, ...]:
 
 class TestRasterize:
     def test_empty_spec_gives_zero_field(self):
-        grid, _ = make_grids(16)
+        grid = GridRZ(16)
         u = rasterize_phantom((), grid)
         assert not u.values.any()
 
     def test_single_rectangle_levels_and_tv(self):
         from abeltv import tv_seminorm
 
-        grid, _ = make_grids(64)
+        grid = GridRZ(64)
         spec = (Shape("rect", (0.0, 0.5), (-0.5, 0.5), 1.0),)
         u = rasterize_phantom(spec, grid)
         R, Z = np.meshgrid(grid.r_centers, grid.z, indexing="ij")
@@ -100,7 +100,7 @@ class TestRasterize:
         assert tv == pytest.approx(1.0 + 2 * 0.5, abs=3 * grid.h)
 
     def test_overwrite_rule(self):
-        grid, _ = make_grids(32)
+        grid = GridRZ(32)
         spec = (
             Shape("rect", (0.0, 0.6), (-0.6, 0.6), 1.0),
             Shape("rect", (0.0, 0.3), (-0.3, 0.3), 0.4),
@@ -111,14 +111,14 @@ class TestRasterize:
         assert_array_equal(u.values[overlap], 0.4)
 
     def test_permutation_invariance_for_disjoint_shapes(self):
-        grid, _ = make_grids(32)
+        grid = GridRZ(32)
         shapes = builtin_phantom("four-blobs")
         u_fwd = rasterize_phantom(shapes, grid)
         u_rev = rasterize_phantom(shapes[::-1], grid)
         assert_array_equal(u_fwd.values, u_rev.values)
 
     def test_escaping_shape_rejected(self):
-        grid, _ = make_grids(16)
+        grid = GridRZ(16)
         too_wide = (Shape("rect", (0.0, 0.99), (-0.5, 0.5), 1.0),)
         with pytest.raises(ValueError):
             rasterize_phantom(too_wide, grid)
@@ -129,7 +129,7 @@ class TestRasterize:
     @pytest.mark.parametrize("name", BUILTIN_PHANTOM_NAMES)
     @pytest.mark.parametrize("n_r", [32, 128])
     def test_builtin_ground_truth_invariants(self, name, n_r):
-        grid, _ = make_grids(n_r)
+        grid = GridRZ(n_r)
         u = rasterize_phantom(builtin_phantom(name), grid)
         assert (u.values >= 0.0).all()
         assert not u.values[-1, :].any()  # outermost radial cell empty
@@ -143,7 +143,7 @@ class TestRasterize:
 
 @pytest.fixture(scope="module")
 def f0():
-    grid, _ = make_grids(128)
+    grid = GridRZ(128)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
     return apply_abel(A, u0)

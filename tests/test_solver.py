@@ -9,6 +9,7 @@ from scipy.linalg import solve_triangular
 
 from abeltv import (
     DualField,
+    GridRZ,
     NoiseSpec,
     ProjectionField,
     RadialField,
@@ -19,7 +20,6 @@ from abeltv import (
     build_abel_matrix,
     builtin_phantom,
     energy,
-    make_grids,
     norm_l2_vh,
     rasterize_phantom,
     solve_onion_peeling,
@@ -30,7 +30,7 @@ from abeltv.solver import _primal_operator, project_unit_ball
 
 
 def noisy_instance(n_r, variance_fraction=0.0005, seed=7):
-    grid, _ = make_grids(n_r)
+    grid = GridRZ(n_r)
     A = build_abel_matrix(grid)
     u0 = rasterize_phantom(builtin_phantom("nested-annuli"), grid)
     f0 = apply_abel(A, u0)
@@ -40,12 +40,12 @@ def noisy_instance(n_r, variance_fraction=0.0005, seed=7):
 
 class TestEnergy:
     def test_zero_everything(self):
-        grid, _ = make_grids(4)
+        grid = GridRZ(4)
         A = build_abel_matrix(grid)
         assert energy(RadialField(grid, np.zeros((4, 9))), A, ProjectionField(grid, np.zeros((4, 9))), 3.0) == 0.0
 
     def test_zero_field_nonzero_data(self):
-        grid, _ = make_grids(8)
+        grid = GridRZ(8)
         A = build_abel_matrix(grid)
         f = ProjectionField(grid, np.random.default_rng(0).normal(size=(8, 17)))
         lam = 5.0
@@ -57,20 +57,34 @@ class TestEnergy:
         # Per-cell jumps: |u_2 - u_1| = 1 on the 5 first-row cells, so the
         # TV term is 0.25 * 5 = 1.25. A u = (1, 0) per column, so the data
         # term is (2/2) * 0.25 * 5 = 1.25. Total 2.5.
-        grid, _ = make_grids(2)
+        grid = GridRZ(2)
         A = build_abel_matrix(grid)
         u = RadialField(grid, np.tile(np.array([[1.0], [0.0]]), (1, 5)))
         assert energy(u, A, ProjectionField(grid, np.zeros((2, 5))), 2.0) == pytest.approx(2.5, abs=1e-14)
 
     def test_shape_mismatch(self):
-        grid, _ = make_grids(4)
-        other, _ = make_grids(8)
+        grid = GridRZ(4)
+        other = GridRZ(8)
         A = build_abel_matrix(grid)
         # the message names both sizes, and the data is checked as well as u
         with pytest.raises(ValueError, match=r"^matrix size 4 != field n_r 8$"):
             energy(RadialField(other, np.zeros((8, 17))), A, ProjectionField(other, np.zeros((8, 17))), 1.0)
         with pytest.raises(ValueError, match=r"^matrix size 4 != field n_r 8$"):
             energy(RadialField(grid, np.zeros((4, 9))), A, ProjectionField(other, np.zeros((8, 17))), 1.0)
+
+
+def marked_pair(count, seed=3):
+    """A (2, 8, 16) pair with ``count`` cells outside the unit ball and
+    the rest inside, but for the cells (1, 0) and (0, -1) on its sphere,
+    which are the last to be moved outside."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.7, 0.7, size=(2, 8, 16))
+    cells = p.reshape(2, -1)
+    cells[:, 0], cells[:, 1] = (1.0, 0.0), (0.0, -1.0)
+    outside = np.r_[rng.permutation(np.arange(2, cells.shape[1])), 0, 1][:count]
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    cells[:, outside] = rng.uniform(1.5, 20.0, size=count) * np.array([np.cos(angle), np.sin(angle)])
+    return p
 
 
 class TestProjectUnitBall:
@@ -89,10 +103,29 @@ class TestProjectUnitBall:
         big = np.sqrt(p[0] ** 2 + p[1] ** 2) > 1
         assert_allclose((q[0] / q[1])[big], (p[0] / p[1])[big], rtol=1e-12)
 
+    # of 128 cells, at most size // 8 = 16 marked take the sparse form
+    @pytest.mark.parametrize("count", [0, 1, 16, 17, 64, 128])
+    def test_bytes_equal_textbook_formula(self, count):
+        p = marked_pair(count)
+        assert np.count_nonzero(p[0] ** 2 + p[1] ** 2 > 1.0) == count
+        q = project_unit_ball(p)
+        assert q.tobytes() == (p / np.maximum(1.0, np.sqrt(p[0] ** 2 + p[1] ** 2))).tobytes()
+        if count < 127:  # the cells on the sphere stay untouched
+            assert_array_equal(q[:, 0, :2], [[1.0, 0.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("count", [2, 126])
+    def test_nonfinite_cells_follow_textbook_formula(self, count):
+        p = marked_pair(count)
+        p[:, 3, 5] = (np.nan, 0.5)
+        p[:, 6, 7] = (np.inf, -0.5)
+        with np.errstate(invalid="ignore"):
+            want = p / np.maximum(1.0, np.sqrt(p[0] ** 2 + p[1] ** 2))
+            assert_array_equal(project_unit_ball(p), want)
+
 
 class TestSolveTV:
     def test_zero_data_fixed_point(self):
-        grid, _ = make_grids(8)
+        grid = GridRZ(8)
         A = build_abel_matrix(grid)
         params = SolverParams(lam=40.0, tau=0.2, gamma=0.2, max_iter=50)
         result = solve_tv(A, ProjectionField(grid, np.zeros((8, 17))), params)
@@ -185,7 +218,7 @@ class TestSolveTV:
         assert err_5n <= 2.0 * (err_n / 5.0)
 
     def test_divergence_detected_with_iteration(self):
-        grid, _ = make_grids(8)
+        grid = GridRZ(8)
         A = build_abel_matrix(grid)
         f = ProjectionField(grid, np.full((8, 17), 1e300))
         params = SolverParams(lam=1e9, tau=0.2, gamma=0.2, max_iter=10)
@@ -219,11 +252,11 @@ class TestSolveTV:
         assert [len(r.energy_trace) for r in results] == [max_iter, math.ceil(max_iter / 7), 1]
 
     def test_shape_mismatch(self):
-        A = build_abel_matrix(make_grids(8)[0])
+        A = build_abel_matrix(GridRZ(8))
         with pytest.raises(ValueError):
             solve_tv(
                 A,
-                ProjectionField(make_grids(16)[0], np.zeros((16, 33))),
+                ProjectionField(GridRZ(16), np.zeros((16, 33))),
                 SolverParams(lam=1.0, tau=0.2, gamma=0.2, max_iter=1),
             )
 
@@ -251,7 +284,7 @@ class TestSolveTV:
 
     @pytest.mark.parametrize("n_r", [32, 512])
     def test_primal_operator_residual(self, n_r):
-        A = build_abel_matrix(make_grids(n_r)[0])
+        A = build_abel_matrix(GridRZ(n_r))
         tau, lam = 0.2, 80.0
         K = _primal_operator(A, tau=tau, lam=lam)
         rng = np.random.default_rng(2)
@@ -329,7 +362,7 @@ class TestSolveTV:
 
 class TestOnionPeeling:
     def test_roundtrip_identity(self):
-        grid, _ = make_grids(128)
+        grid = GridRZ(128)
         A = build_abel_matrix(grid)
         rng = np.random.default_rng(3)
         u = RadialField(grid, rng.uniform(0.0, 1.0, size=(128, 257)))
@@ -340,7 +373,7 @@ class TestOnionPeeling:
     def test_matches_triangular_back_substitution(self):
         # the LU solve of an upper-triangular A is its back-substitution
         for n_r in (2, 3, 33, 128, 512):
-            grid, _ = make_grids(n_r)
+            grid = GridRZ(n_r)
             A = build_abel_matrix(grid)
             rng = np.random.default_rng(n_r)
             for _ in range(3):
@@ -349,7 +382,7 @@ class TestOnionPeeling:
                 assert np.array_equal(u, solve_triangular(A.entries, f, lower=False)), n_r
 
     def test_zero_data(self):
-        grid, _ = make_grids(8)
+        grid = GridRZ(8)
         A = build_abel_matrix(grid)
         assert not solve_onion_peeling(A, ProjectionField(grid, np.zeros((8, 17)))).values.any()
 
@@ -364,6 +397,6 @@ class TestOnionPeeling:
         assert err_tv < err_op
 
     def test_shape_mismatch(self):
-        A = build_abel_matrix(make_grids(8)[0])
+        A = build_abel_matrix(GridRZ(8))
         with pytest.raises(ValueError):
-            solve_onion_peeling(A, ProjectionField(make_grids(16)[0], np.zeros((16, 33))))
+            solve_onion_peeling(A, ProjectionField(GridRZ(16), np.zeros((16, 33))))
