@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import _freeze, _integer
+from .grids import _freeze, _integer, _real
 
 __all__ = [
     "PiecewiseConstantProfile",
@@ -157,7 +157,7 @@ def _tv(values: np.ndarray) -> np.ndarray:
 
 
 def _require_unit_interval(x: float) -> float:
-    x = float(x)
+    x = _real(x, "x")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"evaluation point must lie in [0, 1], got {x}")
     return x
@@ -172,7 +172,7 @@ def j_transform(v, x: float, breakpoints: Sequence[float] | None = None) -> floa
         Profiles are integrated in closed form (exact). A callable is
         integrated after the substitution r = x + t^2 by the panel rule of
         ``_panel``; it must accept scalars and vanish outside [0, 1).
-    x : float in [0, 1]
+    x : number in [0, 1], by ``grids._real`` (a bool or a string raises)
     breakpoints : sequence of float, optional
         Every discontinuity or singular point of a callable ``v`` in (x, 1),
         each ending a panel: a declared jump costs 1e-16 against the closed
@@ -276,8 +276,7 @@ def _j_norms_closed(edges: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, 
     powers = edges**1.5
     l1 = YOUNG_L1 * (values * (powers[:, 1:] - powers[:, :-1])).sum(axis=-1)
     b = edges[:, 1:]
-    a = values.copy()
-    a[:, :-1] -= values[:, 1:]
+    a = -np.diff(values, axis=-1, append=0.0)
     j, k = _pairs(b.shape[-1])
     lo, hi = b[:, j], b[:, k]
     # near - far is 4 I(lo, hi), and ||J v||_L2^2 = (2 / pi) half_square
@@ -329,7 +328,7 @@ class IndicatorFamily:
 
 
 def indicator_family(k: float) -> IndicatorFamily:
-    """Closed-form data for the indicator family member at scale k >= 1.
+    """Closed-form data for the indicator family member at a number k >= 1 (``grids._real``).
 
     v_k is the indicator of [0, 1/k]; its transform is
     g_k(x) = 2 pi^(-1/2) (1/k - x)^(1/2) on [0, 1/k], with exact norms
@@ -338,7 +337,7 @@ def indicator_family(k: float) -> IndicatorFamily:
         ||v_k||_L2 = k^(-1/2)    ||g_k||_L2 = sqrt(2/pi) k^(-1)
         ||v_k'||_L1 = ||v_k||_TV = 1
     """
-    k = float(k)
+    k = _real(k, "k")
     if k < 1.0:
         raise ValueError(f"k must be >= 1, got {k}")
     if k == 1.0:
@@ -362,7 +361,7 @@ def indicator_family(k: float) -> IndicatorFamily:
 
 
 def stieltjes_inverse(g: PiecewiseConstantProfile, r: float) -> float:
-    """Explicit inversion of J for step data, at radius r in [0, 1).
+    """Explicit inversion of J for step data at a number r in [0, 1) (``grids._real``).
 
     For data g of bounded variation with support in [0, 1) and finite
     g(0) >= 0, the unique integrable solution of J v = g is the
@@ -374,11 +373,11 @@ def stieltjes_inverse(g: PiecewiseConstantProfile, r: float) -> float:
     a_m > r of -(jump size) / sqrt(a_m - r), scaled by pi^(-1/2).
     Returns 0 for r at or beyond the last jump.
     """
-    if g.values[0] < 0.0 or not math.isfinite(g.values[0]):
+    if g.values[0] < 0.0:
         raise ValueError("step data must have finite nonnegative value at 0")
     if g.values[-1] != 0.0:
         raise ValueError("step data must be supported in [0, 1) (last value 0)")
-    r = float(r)
+    r = _real(r, "r")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     locs, sizes = g.breakpoints[1:], np.diff(g.values)
@@ -396,10 +395,11 @@ def random_step_profiles(trials: int, seed: int) -> Iterator[tuple[np.ndarray, n
     Each profile has a uniform piece count in {1.._MAX_PIECES}, jump
     locations uniform in (0, _BREAKPOINT_HIGH), values uniform in [0, 1] and
     a trailing zero piece, staying inside the hypotheses of the stability
-    bounds (bounded, support in [0, 1)). ``trials`` is a count >= 1.
+    bounds (bounded, support in [0, 1)). ``trials`` is a count >= 1 and
+    ``seed`` one >= 0 (``grids._integer``), both checked at the first draw.
     """
     trials = _integer(trials, "trials", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     for _ in range(trials):
         pieces = int(rng.integers(1, _MAX_PIECES + 1))
         edges = np.zeros(pieces + 2)
@@ -484,7 +484,7 @@ def verify_bounds(seed: int, trials: int) -> dict[str, float]:
     random step profiles; decay-slope checks report |slope - target| over
     the 0.02 tolerance; the sum-bound suboptimality witness reports the
     transformed norm against the 0.1 threshold while the family's TV stays
-    pinned at 1. ``trials`` is a count >= 1.
+    pinned at 1. ``trials`` is a count >= 1 and ``seed`` one >= 0.
     """
     ratios = bound_ratios(random_step_profiles(trials, seed))
 

@@ -56,11 +56,10 @@ def _cmd_run(args, error) -> int:
 
 
 def _cmd_verify_bounds(args, error) -> int:
-    if args.trials < 1:
-        error(f"argument --trials: must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        error(f"argument --seed: must be >= 0, got {args.seed}")
-    ratios = verify_bounds(seed=args.seed, trials=args.trials)
+    try:
+        ratios = verify_bounds(seed=args.seed, trials=args.trials)
+    except ValueError as exc:
+        error(str(exc))
     print(f"bound suites: {args.trials} trials, seed {args.seed}")
     width = max(map(len, ratios))
     for name, ratio in ratios.items():

@@ -11,10 +11,11 @@ samples. The revolved Cartesian lattice is fixed by n_r too: ``revolve``
 samples x, y in [-1, 1] and z in [0, 1] at spacing h, an array of shape
 (2n_r+1, 2n_r+1, n_r+1).
 
-Every number a record holds follows one of two value rules, whose
-ValueError names the field: ``_integer`` for counts (an integral int or
-float, numpy's included, stored as an int, within its bounds) and ``_real``
-for the rest (an int or a float, numpy's included, stored as a finite float).
+Every number a record or an analytic entry point (x, k, r, trials, seed)
+takes follows one of two value rules, whose ValueError names the field:
+``_integer`` for counts (an integral int or float, numpy's included, stored
+as an int, within its bounds) and ``_real`` for the rest (an int or a
+float, numpy's included, stored as a finite float).
 
 Field containers are immutable after construction and safe to share across
 threads; like every record holding arrays, they compare by identity and

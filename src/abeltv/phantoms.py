@@ -95,11 +95,8 @@ class NoiseSpec:
         vf = _real(self.variance_fraction, "variance_fraction")
         if vf < 0:
             raise ValueError(f"variance_fraction must be >= 0, got {vf}")
-        seed = _integer(self.seed, "seed")
-        if not 0 <= seed < 2**128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {_shown(seed)}")
         object.__setattr__(self, "variance_fraction", vf)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**128 - 1))
 
 
 def _check_support(shapes: tuple[Shape, ...], g: GridRZ) -> None:

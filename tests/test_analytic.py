@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from abeltv import (
     random_step_profiles,
     stieltjes_inverse,
 )
-from abeltv.analytic import _j_norms_quadrature, _j_norms_stacked
+from abeltv.analytic import _j_norms_quadrature, _j_norms_stacked, verify_bounds
 
 SQRT_PI = math.sqrt(math.pi)
 # the first three random_step_profiles(.., seed=9), as (edges[:-1], values)
@@ -135,6 +136,47 @@ def test_user_paths_load_no_scipy(tmp_path, python):
     ])
     out = python(["-c", code])
     assert out.splitlines()[-1] == "[]"
+
+
+_STEP = PiecewiseConstantProfile(np.array([0.0, 0.5]), np.array([1.0, 0.0]))
+
+
+def _input_rules():
+    """A (call, value, message) row, with an id naming both, for each bad
+    number the analytic layer takes."""
+    calls = {
+        "indicator_family": indicator_family,
+        "j_transform": lambda x: j_transform(_STEP, x),
+        "abel_transform": lambda x: abel_transform(lambda r: 1.0, x),
+        "stieltjes_inverse": lambda r: stieltjes_inverse(_STEP, r),
+        "seed": lambda seed: verify_bounds(seed=seed, trials=3),
+        "trials": lambda trials: verify_bounds(seed=1, trials=trials),
+    }
+    for name, value, message in [
+        ("indicator_family", math.nan, "k must be finite, got nan"),
+        ("indicator_family", math.inf, "k must be finite, got inf"),
+        ("indicator_family", True, "k must be a number, got True"),
+        ("indicator_family", "4", "k must be a number, got '4'"),
+        ("j_transform", True, "x must be a number, got True"),
+        ("abel_transform", "0.5", "x must be a number, got '0.5'"),
+        ("stieltjes_inverse", True, "r must be a number, got True"),
+        ("stieltjes_inverse", "0.1", "r must be a number, got '0.1'"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("trials", 0, "trials must be >= 1, got 0"),
+        ("trials", 2.5, "trials must be an integer, got 2.5"),
+        ("trials", True, "trials must be an integer, got True"),
+    ]:
+        yield pytest.param(calls[name], value, message, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("call, value, message", _input_rules())
+def test_numbers_read_by_value_rules(call, value, message):
+    # x, k and r are numbers by grids._real, trials and seed counts by
+    # grids._integer; each error names the argument
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 class TestProfile:
