@@ -15,13 +15,15 @@ import importlib
 
 __version__ = "0.1.0"
 
-_MODULES = ("analytic", "experiments", "grids", "metrics", "operators", "phantoms", "solver")
+# the order of the name search: the stability suite comes last, so a pipeline
+# name loads no `analytic`
+_MODULES = ("experiments", "grids", "metrics", "operators", "phantoms", "solver", "analytic")
 
 
 def __getattr__(name: str):
     if name in (*_MODULES, "cli"):  # not via the search below: cli must load before numpy
         return importlib.import_module(f"{__name__}.{name}")
-    modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
+    modules = (importlib.import_module(f"{__name__}.{m}") for m in _MODULES)
     if name == "__all__":
         value = [n for m in modules for n in m.__all__]
     else:

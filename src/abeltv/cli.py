@@ -28,7 +28,7 @@ if "numpy" not in sys.modules:
 
 # Imported at start-up, not in its command: the benchmark imports this module
 # before it times a command, and a deferred import would charge verify-bounds
-# for compiling `analytic`, numpy.polynomial and the Gauss-Legendre table.
+# for compiling `analytic`.
 from .analytic import verify_bounds  # noqa: E402
 from .experiments import ExperimentConfig, run_experiment  # noqa: E402
 from .grids import GridRZ  # noqa: E402

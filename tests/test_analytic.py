@@ -22,7 +22,7 @@ from abeltv import (
     random_step_profiles,
     stieltjes_inverse,
 )
-from abeltv.analytic import _j_norms_quadrature, _j_norms_stacked, verify_bounds
+from abeltv.analytic import _GL_NODES, _GL_WEIGHTS, _j_norms_quadrature, _j_norms_stacked, verify_bounds
 
 SQRT_PI = math.sqrt(math.pi)
 # the first three random_step_profiles(.., seed=9), as (edges[:-1], values)
@@ -112,7 +112,8 @@ def test_import_does_not_load_scipy_integrate(python):
 def test_user_paths_load_no_scipy(tmp_path, python):
     # The import, `abeltv run`, `abeltv verify-bounds`, both solvers and the
     # panel quadrature behind j_transform/abel_transform on callables are
-    # numpy-only, so no scipy import lands in start-up or in any call.
+    # numpy-only, so no scipy import lands in start-up or in any call; nor
+    # does numpy.polynomial, whose Gauss-Legendre rule the package ships as data.
     run = {"variance_fraction": 0.0005, "lambda": 80, "tau": 0.2, "gamma": 0.2, "max_iter": 20}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -132,10 +133,18 @@ def test_user_paths_load_no_scipy(tmp_path, python):
         "step = lambda r: 1.0 if r < 0.5 else 0.0",
         "assert abs(abeltv.j_transform(step, 0.1, breakpoints=[0.5]) - 2 * 0.4**0.5 / np.pi**0.5) < 1e-15",
         "assert abs(abeltv.abel_transform(step, 0.3, breakpoints=[0.5]) - 2 * 0.4) < 1e-15",
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        "for pkg in ('scipy', 'numpy.polynomial'):",
+        "    print(sorted(m for m in sys.modules if m == pkg or m.startswith(pkg + '.')))",
     ])
     out = python(["-c", code])
-    assert out.splitlines()[-1] == "[]"
+    assert out.splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_gauss_legendre_table_is_leggauss():
+    # the shipped rule is the bits of leggauss(96), which the package does not import
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    assert_array_equal(_GL_NODES.view(np.uint64), nodes.view(np.uint64))
+    assert_array_equal(_GL_WEIGHTS.view(np.uint64), weights.view(np.uint64))
 
 
 _STEP = PiecewiseConstantProfile(np.array([0.0, 0.5]), np.array([1.0, 0.0]))

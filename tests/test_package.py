@@ -28,6 +28,9 @@ def test_import_loads_no_numpy_and_star_is_the_modules_all(python):
 def test_run_pipeline_loads_no_stability_suite(python):
     code = "import sys, abeltv.experiments; print('abeltv.analytic' in sys.modules)"
     assert python(["-c", code]) == "False\n"
+    # a root lookup loads the modules only until one owns the name
+    code = "import sys, abeltv; abeltv.solve_tv; print('abeltv.analytic' in sys.modules)"
+    assert python(["-c", code]) == "False\n"
 
 
 def test_root_serves_modules_and_names():
